@@ -43,6 +43,11 @@ import (
 	"repro/internal/store"
 )
 
+// readHeaderTimeout bounds how long a connection may take to send its
+// request headers, so a stalled client cannot hold a connection (and
+// its goroutine) forever. Bodies and SSE streams are not timed.
+const readHeaderTimeout = 10 * time.Second
+
 func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:8177", "listen address (port 0 picks an ephemeral port)")
@@ -192,7 +197,7 @@ func main() {
 	if *workerMode {
 		server.EnableWorker(cluster.NewWorkerAPI())
 	}
-	srv := &http.Server{Handler: server}
+	srv := &http.Server{Handler: server, ReadHeaderTimeout: readHeaderTimeout}
 
 	if runStore != nil {
 		rep, requeued := sched.Recover()

@@ -151,6 +151,16 @@ type IslandRun struct {
 	Results        []IslandResult `json:"results"`
 }
 
+// Evolved reports the most generations any island ran — the run's
+// length as a job and the store report it.
+func (run *IslandRun) Evolved() int {
+	gens := 0
+	for _, ir := range run.Results {
+		gens = max(gens, len(ir.History))
+	}
+	return gens
+}
+
 // AssembleRun builds the canonical IslandRun from per-island results
 // (any order; sorted by island here). Both the single-process reference
 // and the coordinator gathering results from workers assemble through
@@ -346,11 +356,7 @@ func ReplayIslandRecords(run *IslandRun, sink hwsim.Sink) {
 		for _, ir := range run.Results {
 			h := ir.History
 			for gen := start; gen < start+m && gen < len(h); gen++ {
-				sink.Record(hwsim.Record{
-					Workload:   fmt.Sprintf("%s#i%d", run.Workload, ir.Island),
-					Generation: h[gen].Generation,
-					Report:     h[gen].CounterReport(),
-				})
+				sink.Record(h[gen].record(fmt.Sprintf("%s#i%d", run.Workload, ir.Island)))
 				emitted = true
 			}
 		}

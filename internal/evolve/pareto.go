@@ -311,15 +311,6 @@ func FrontRecords(run *ParetoRun, sink hwsim.Sink) {
 // front — in exactly the order a live run produces it, so cache-hit
 // replays are byte-identical on the wire.
 func ReplayParetoRecords(run *ParetoRun, sink hwsim.Sink) {
-	if sink == nil {
-		return
-	}
-	for _, st := range run.History {
-		sink.Record(hwsim.Record{
-			Workload:   run.Workload,
-			Generation: st.Generation,
-			Report:     st.CounterReport(),
-		})
-	}
+	ReplayHistory(run.Workload, run.History, sink)
 	FrontRecords(run, sink)
 }

@@ -628,13 +628,26 @@ func (r *Runner) Step(ctx context.Context) (GenStats, error) {
 
 	r.History = append(r.History, st)
 	if r.Sink != nil {
-		r.Sink.Record(hwsim.Record{
-			Workload:   r.name,
-			Generation: st.Generation,
-			Report:     st.CounterReport(),
-		})
+		r.Sink.Record(st.record(r.name))
 	}
 	return st, nil
+}
+
+// record is the generation's wire record, tagged with workload.
+func (st GenStats) record(workload string) hwsim.Record {
+	return hwsim.Record{Workload: workload, Generation: st.Generation, Report: st.CounterReport()}
+}
+
+// ReplayHistory re-emits a finished run's per-generation records in
+// order — byte-identical to what the run's Sink saw live, so a replayed
+// job stream cannot be told from a computed one.
+func ReplayHistory(workload string, history []GenStats, sink hwsim.Sink) {
+	if sink == nil {
+		return
+	}
+	for _, st := range history {
+		sink.Record(st.record(workload))
+	}
 }
 
 // RequestCheckpoint asks a Run in progress to persist the population

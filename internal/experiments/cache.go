@@ -1,10 +1,13 @@
 package experiments
 
 import (
+	"encoding/json"
+	"fmt"
 	"sync"
 	"sync/atomic"
 
 	"repro/internal/evolve"
+	"repro/internal/store"
 )
 
 // This file is the harness's shared evolution store. The expensive
@@ -22,53 +25,12 @@ import (
 // Runner.ScoreGenome). Byte-identical outputs follow from determinism:
 // an evolution run is a pure function of its key, so handing a figure
 // the cached run is indistinguishable from letting it re-evolve.
-
-// runKey identifies one unique evolution run. seed is the effective
-// run seed (base seed plus the run offset), so the key spaces of
-// different base seeds or run indices never collide.
-type runKey struct {
-	workload    string
-	population  int
-	generations int
-	seed        uint64
-}
-
-// runKeyFor derives the cache key runWorkload uses for one
-// (workload, options, run) request.
-func runKeyFor(workload string, opt Options, run int) runKey {
-	return runKey{
-		workload:    workload,
-		population:  opt.popFor(workload),
-		generations: opt.gensFor(workload),
-		seed:        opt.Seed + uint64(run)*7919,
-	}
-}
-
-// islandKey identifies one unique island-model run. Islands and
-// migration period are part of identity: the same (workload, pop,
-// gens, seed) evolved as 4 islands is a different computation than as
-// 2 islands or as one panmictic population.
-type islandKey struct {
-	workload       string
-	population     int
-	generations    int
-	islands        int
-	migrationEvery int
-	seed           uint64
-}
-
-// paretoKey identifies one unique Pareto-mode run. The objective
-// vector (joined '+', identity order) is part of the key: the same
-// (workload, pop, gens, seed) evolved under NSGA-II selection is a
-// different computation than the scalar run, and a different vector
-// order is a different run.
-type paretoKey struct {
-	workload    string
-	population  int
-	generations int
-	seed        uint64
-	objectives  string
-}
+//
+// Every run kind — scalar, island, Pareto — is one tier below: a
+// singleflight map keyed on the run's full store.Key tuple, read
+// through to and written back to the persistent store when one is
+// attached. The kinds differ only in their codec (persist.go,
+// island.go, pareto.go).
 
 // studyKey identifies one unique multi-run study. seed is the study
 // base seed; per-run seeds derive from it via evolve.RunSeed, a
@@ -160,18 +122,158 @@ func (fm *flightMap[K, V]) reset() {
 	fm.computes.Store(0)
 }
 
-// The three stores, in dependency order: comparisons consume runs,
-// figures consume all three.
+// activeStore is the attached disk tier (nil = memory-only, the
+// default for CLIs and tests).
+var activeStore atomic.Pointer[store.Store]
+
+// UseStore attaches (or with nil detaches) the persistent run store
+// every run tier reads through and writes back to.
+func UseStore(s *store.Store) { activeStore.Store(s) }
+
+// tier is one run kind's store-backed singleflight cache. The memory
+// map stays authoritative for request coalescing; the store only
+// changes what a cold miss costs — a disk read instead of an
+// evolution. A run kind contributes its codec: encode renders a
+// finished run as the artifact's meta and payload files, decode
+// rebuilds it from a verified artifact (checking schema and key).
+type tier[V any] struct {
+	flightMap[store.Key, V]
+	encode func(store.Key, V) (store.Meta, map[string][]byte, error)
+	decode func(store.Key, *store.Artifact) (V, error)
+}
+
+// RunOutcome is the result of a shared island or Pareto request.
+type RunOutcome[R any] struct {
+	Run R
+	// Computed is true only for the request whose computation executed.
+	Computed bool
+	// Stored reports the cache miss was served from the persistent
+	// store (no computation ran).
+	Stored bool
+}
+
+// source says how a tier request was answered.
+type source int
+
+const (
+	fromMemory  source = iota // memoized, or shared with a concurrent compute
+	fromStore                 // this request's miss replayed a stored artifact
+	fromCompute               // this request's miss executed the run
+)
+
+// load rehydrates k from the store. Any failure degrades to a miss; an
+// artifact whose verified bytes do not decode is as corrupt as a
+// checksum mismatch and is quarantined so the recompute can commit a
+// fresh one.
+func (t *tier[V]) load(k store.Key) (V, bool) {
+	var zero V
+	s := activeStore.Load()
+	if s == nil {
+		return zero, false
+	}
+	art, ok := s.Get(k)
+	if !ok {
+		return zero, false
+	}
+	v, err := t.decode(k, art)
+	if err != nil {
+		s.QuarantineKey(k, fmt.Sprintf("decode: %v", err))
+		return zero, false
+	}
+	return v, true
+}
+
+// commit writes a computed run to the store, best-effort: a failure
+// only means the next cold process recomputes.
+func (t *tier[V]) commit(k store.Key, v V) {
+	s := activeStore.Load()
+	if s == nil {
+		return
+	}
+	meta, files, err := t.encode(k, v)
+	if err != nil {
+		return
+	}
+	s.Put(k, meta, files)
+}
+
+// resolve answers k from memory, then the store, then compute, and
+// commits what it computes (unless the codec refuses to encode it, as
+// the scalar codec does for a resumed run).
+func (t *tier[V]) resolve(k store.Key, compute func() (V, error)) (V, source, error) {
+	src := fromMemory
+	v, err := t.get(k, func() (V, error) {
+		if v, ok := t.load(k); ok {
+			src = fromStore
+			return v, nil
+		}
+		src = fromCompute
+		evolutionsRun.Add(1)
+		v, err := compute()
+		if err == nil {
+			t.commit(k, v)
+		}
+		return v, err
+	})
+	return v, src, err
+}
+
+// peek answers k from memory or the store without ever computing — the
+// coordinator's store-hit proxy seam. A store hit is memoized, so
+// repeated peeks of one key read disk once.
+func (t *tier[V]) peek(k store.Key) (run V, stored, ok bool) {
+	if v, ok := t.flightMap.peek(k); ok {
+		return v, false, true
+	}
+	loaded, ok := t.load(k)
+	if !ok {
+		return loaded, false, false
+	}
+	v, err := t.get(k, func() (V, error) { return loaded, nil })
+	return v, true, err == nil
+}
+
+// runDoc is the schema-stamped single-file payload of an island
+// (islands.json) or Pareto (pareto.json) artifact.
+type runDoc[R any] struct {
+	Schema string `json:"schema"`
+	Run    *R     `json:"run"`
+}
+
+// encodeDoc renders run as a one-file runDoc artifact.
+func encodeDoc[R any](file, schema string, run *R, meta store.Meta) (store.Meta, map[string][]byte, error) {
+	payload, err := json.Marshal(&runDoc[R]{Schema: schema, Run: run})
+	if err != nil {
+		return store.Meta{}, nil, err
+	}
+	return meta, map[string][]byte{file: payload}, nil
+}
+
+// decodeDoc reads a one-file runDoc artifact, rejecting any other
+// schema; the caller checks the run against its key.
+func decodeDoc[R any](art *store.Artifact, file, schema string) (*R, error) {
+	var doc runDoc[R]
+	if err := json.Unmarshal(art.Files[file], &doc); err != nil {
+		return nil, fmt.Errorf("%s: %w", file, err)
+	}
+	if doc.Schema != schema || doc.Run == nil {
+		return nil, fmt.Errorf("%s: schema %q, want %q", file, doc.Schema, schema)
+	}
+	return doc.Run, nil
+}
+
+// The stores, in dependency order: comparisons consume runs, figures
+// consume all of them.
 var (
-	runCache    flightMap[runKey, *evolved]
+	runCache    = tier[*evolved]{encode: encodeRun, decode: decodeRun}
+	islandCache = tier[*evolve.IslandRun]{encode: encodeIsland, decode: decodeIsland}
+	paretoCache = tier[*evolve.ParetoRun]{encode: encodePareto, decode: decodePareto}
 	studyCache  flightMap[studyKey, *evolve.Study]
-	priceCache  flightMap[runKey, *comparison]
-	islandCache flightMap[islandKey, *evolve.IslandRun]
-	paretoCache flightMap[paretoKey, *evolve.ParetoRun]
+	priceCache  flightMap[store.Key, *comparison]
 )
 
 // evolutionsRun counts actual evolution executions — bumped only when
-// a runner really runs, not when a cache miss is served from the
+// a tier really computes, not when a cache miss is served from the
 // persistent store. runCache.computes keeps counting compute-closure
 // invocations (the singleflight accounting its tests pin); this
 // counter is the "did we pay for an evolution" ledger the durability
@@ -191,7 +293,7 @@ func ResetCaches() {
 }
 
 // evolutionsExecuted reports how many evolution computations ran since
-// the last reset: single runs plus studies (a study internally
+// the last reset: tier computes plus studies (a study internally
 // executes its configured number of runs, but enters the pipeline as
 // one computation). Runs replayed from the persistent store are not
 // executions and do not count.

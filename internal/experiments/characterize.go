@@ -109,10 +109,7 @@ func studyRecords(wl string, opt Options) (*hwsim.Log, error) {
 	}
 	log := &hwsim.Log{}
 	for _, res := range st.Results {
-		sink := hwsim.Tagged{Sink: log, Workload: wl, Run: res.Run}
-		for _, g := range res.History {
-			sink.Record(hwsim.Record{Generation: g.Generation, Report: g.CounterReport()})
-		}
+		evolve.ReplayHistory(wl, res.History, hwsim.Tagged{Sink: log, Workload: wl, Run: res.Run})
 	}
 	return log, nil
 }

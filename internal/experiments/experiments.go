@@ -20,7 +20,6 @@ import (
 	"repro/internal/env"
 	"repro/internal/evolve"
 	"repro/internal/gene"
-	"repro/internal/neat"
 	"repro/internal/platform"
 	"repro/internal/trace"
 )
@@ -60,11 +59,14 @@ type Options struct {
 }
 
 // ctx returns the effective cancellation context.
-func (o Options) ctx() context.Context {
-	if o.Ctx != nil {
-		return o.Ctx
+func (o Options) ctx() context.Context { return orBackground(o.Ctx) }
+
+// orBackground is ctx, or context.Background() when ctx is nil.
+func orBackground(ctx context.Context) context.Context {
+	if ctx == nil {
+		return context.Background()
 	}
-	return context.Background()
+	return ctx
 }
 
 func (o Options) withDefaults() Options {
@@ -223,54 +225,35 @@ type evolved struct {
 	runner *evolve.Runner
 	trace  *trace.Trace
 	solved bool
+	// resumed marks a run that restored a checkpoint: its History
+	// covers only the post-restore generations, so it is never
+	// committed to the store (replaying it would not be byte-identical).
+	resumed bool
 }
 
-// runWorkload returns the workload's evolved run, evolving it on the
-// first request and serving every later (or concurrent) request for
-// the same (workload, population, generations, seed, run) key from the
-// shared run cache. With a persistent store attached (UseStore) a
-// cache miss first tries the disk tier and commits what it computes.
-// The returned run is shared: callers read its history, population,
-// and trace but must not mutate them (re-scoring goes through
-// evolve.Runner.ScoreGenome).
+// runRequest is the shared-cache request for one (workload, options,
+// run) figure input. The run seed is the base seed plus the run offset,
+// so the key spaces of different base seeds or run indices never
+// collide.
+func runRequest(workload string, opt Options, run int) SharedRequest {
+	return SharedRequest{
+		Workload:    workload,
+		Population:  opt.popFor(workload),
+		Generations: opt.gensFor(workload),
+		Seed:        opt.Seed + uint64(run)*7919,
+		Ctx:         opt.Ctx,
+		BatchWidth:  opt.BatchWidth,
+	}
+}
+
+// runWorkload returns the workload's evolved run through the same run
+// cache and store RunShared uses, evolving it on the first request of
+// its key. The returned run is shared: callers read its history,
+// population, and trace but must not mutate them (re-scoring goes
+// through evolve.Runner.ScoreGenome).
 func runWorkload(workload string, opt Options, run int) (*evolved, error) {
-	key := runKeyFor(workload, opt, run)
-	return runCache.get(key, func() (*evolved, error) {
-		if e, ok := loadStored(key); ok {
-			return e, nil
-		}
-		e, err := evolveWorkload(workload, opt, run)
-		if err != nil {
-			return nil, err
-		}
-		commitStored(key, e)
-		return e, nil
-	})
-}
-
-// evolveWorkload evolves one workload with a trace recorder attached —
-// the uncached body of runWorkload.
-func evolveWorkload(workload string, opt Options, run int) (*evolved, error) {
-	cfg := neat.DefaultConfig(1, 1)
-	cfg.PopulationSize = opt.popFor(workload)
-	r, err := evolve.NewRunner(workload, cfg, opt.Seed+uint64(run)*7919)
-	if err != nil {
-		return nil, err
-	}
-	r.BatchWidth = opt.BatchWidth
-	tr := &trace.Trace{}
-	r.SetRecorder(tr)
-	evolutionsRun.Add(1)
-	solved, err := r.Run(opt.ctx(), opt.gensFor(workload))
-	if err != nil {
-		return nil, err
-	}
-	// The run cache retains this entry for the process lifetime, but
-	// consumers only read History/Pop/trace (re-scoring goes through the
-	// self-contained ScoreGenome), so the evaluation engine — worker
-	// pool, batch planes, phenotype cache — is dead weight from here on.
-	r.ReleaseEvalState()
-	return &evolved{runner: r, trace: tr, solved: solved}, nil
+	_, e, err := resolveShared(runRequest(workload, opt, run))
+	return e, err
 }
 
 // genWorkload extracts the platform charge model's view of one

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/evolve"
@@ -10,25 +9,18 @@ import (
 	"repro/internal/store"
 )
 
-// This file threads the island-model run type through the same two
-// cache tiers ordinary runs use: a singleflight memory cache keyed on
-// the full island tuple, backed by the persistent store (one
-// islands.json artifact per key). The computation itself is
-// pluggable — the single-process reference by default, the
-// coordinator's distributed executor in cluster mode — because both
-// produce byte-identical IslandRuns, so what lands in the cache and
-// the store is independent of where the islands evolved.
+// This file is the island-model run kind: its request, its store codec
+// (one islands.json artifact per key), and its entry points over the
+// shared run tier. The computation itself is pluggable — the
+// single-process reference by default, the coordinator's distributed
+// executor in cluster mode — because both produce byte-identical
+// IslandRuns, so what lands in the cache and the store is independent
+// of where the islands evolved.
 
 // islandSchema stamps islands.json artifacts.
 const islandSchema = "genesys-island/1"
 
 const islandsFile = "islands.json"
-
-// islandDoc is the islands.json payload.
-type islandDoc struct {
-	Schema string            `json:"schema"`
-	Run    *evolve.IslandRun `json:"run"`
-}
 
 // IslandRequest describes one island-model run to resolve through the
 // shared cache. The tuple (Workload, Population, Generations, Islands,
@@ -59,34 +51,17 @@ type IslandRequest struct {
 }
 
 // IslandOutcome is the result of a shared island request.
-type IslandOutcome struct {
-	Run *evolve.IslandRun
-	// Computed is true only for the request whose computation executed.
-	Computed bool
-	// Stored reports the cache miss was served from the persistent
-	// store (no computation ran).
-	Stored bool
-}
+type IslandOutcome = RunOutcome[*evolve.IslandRun]
 
-func (req IslandRequest) key() islandKey {
-	return islandKey{
-		workload:       req.Workload,
-		population:     req.Population,
-		generations:    req.Generations,
-		islands:        req.Islands,
-		migrationEvery: req.MigrationEvery,
-		seed:           req.Seed,
-	}
-}
-
-func islandStoreKeyFor(k islandKey) store.Key {
+// key is the request's run identity.
+func (req IslandRequest) key() store.Key {
 	return store.Key{
-		Workload:       k.workload,
-		Population:     k.population,
-		Generations:    k.generations,
-		Seed:           k.seed,
-		Islands:        k.islands,
-		MigrationEvery: k.migrationEvery,
+		Workload:       req.Workload,
+		Population:     req.Population,
+		Generations:    req.Generations,
+		Seed:           req.Seed,
+		Islands:        req.Islands,
+		MigrationEvery: req.MigrationEvery,
 	}
 }
 
@@ -108,110 +83,33 @@ func RunSharedIsland(req IslandRequest) (*IslandOutcome, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	out := &IslandOutcome{}
-	key := req.key()
-	run, err := islandCache.get(key, func() (*evolve.IslandRun, error) {
-		if stored, ok := loadStoredIsland(key); ok {
-			out.Stored = true
-			return stored, nil
-		}
-		out.Computed = true
-		ctx := req.Ctx
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		evolutionsRun.Add(1)
-		var r *evolve.IslandRun
-		var cerr error
-		if req.Run != nil {
-			r, cerr = req.Run(ctx)
-		} else {
-			r, cerr = evolve.RunIslands(ctx, spec)
-		}
-		if cerr != nil {
-			return nil, cerr
-		}
-		commitStoredIsland(key, r)
-		return r, nil
-	})
+	if req.Run == nil {
+		req.Run = func(ctx context.Context) (*evolve.IslandRun, error) { return evolve.RunIslands(ctx, spec) }
+	}
+	run, src, err := islandCache.resolve(req.key(), func() (*evolve.IslandRun, error) { return req.Run(orBackground(req.Ctx)) })
 	if err != nil {
 		return nil, err
 	}
-	out.Run = run
-	return out, nil
+	return &IslandOutcome{Run: run, Computed: src == fromCompute, Stored: src == fromStore}, nil
 }
 
-// loadStoredIsland rehydrates an island run from the disk tier.
-func loadStoredIsland(k islandKey) (*evolve.IslandRun, bool) {
-	s := activeStore.Load()
-	if s == nil {
-		return nil, false
-	}
-	key := islandStoreKeyFor(k)
-	art, ok := s.Get(key)
-	if !ok {
-		return nil, false
-	}
-	var doc islandDoc
-	if err := json.Unmarshal(art.Files[islandsFile], &doc); err != nil || doc.Schema != islandSchema || doc.Run == nil {
-		reason := "decode: bad islands.json"
-		if err != nil {
-			reason = fmt.Sprintf("decode: %v", err)
-		}
-		s.QuarantineKey(key, reason)
-		return nil, false
-	}
-	if doc.Run.Seed != k.seed || doc.Run.Islands != k.islands {
-		s.QuarantineKey(key, "decode: islands.json does not match its key")
-		return nil, false
-	}
-	return doc.Run, true
+// encodeIsland renders a finished island run as its artifact.
+func encodeIsland(_ store.Key, run *evolve.IslandRun) (store.Meta, map[string][]byte, error) {
+	return encodeDoc(islandsFile, islandSchema, run, store.Meta{Solved: run.Solved, BestFitness: run.BestFitness, Generations: run.Evolved()})
 }
 
-// commitStoredIsland writes a freshly computed island run to the disk
-// tier (best-effort, like commitStored).
-func commitStoredIsland(k islandKey, run *evolve.IslandRun) {
-	s := activeStore.Load()
-	if s == nil {
-		return
+// decodeIsland rebuilds an island run from its artifact.
+func decodeIsland(k store.Key, art *store.Artifact) (*evolve.IslandRun, error) {
+	run, err := decodeDoc[evolve.IslandRun](art, islandsFile, islandSchema)
+	if err == nil && (run.Seed != k.Seed || run.Islands != k.Islands) {
+		return nil, fmt.Errorf("%s does not match its key", islandsFile)
 	}
-	payload, err := json.Marshal(&islandDoc{Schema: islandSchema, Run: run})
-	if err != nil {
-		return
-	}
-	gens := 0
-	for _, ir := range run.Results {
-		if len(ir.History) > gens {
-			gens = len(ir.History)
-		}
-	}
-	s.Put(islandStoreKeyFor(k),
-		store.Meta{Solved: run.Solved, BestFitness: run.BestFitness, Generations: gens},
-		map[string][]byte{islandsFile: payload})
+	return run, err
 }
 
 // PeekSharedIsland answers an island request from memory or disk
 // without computing — the coordinator's store-hit proxy for island
 // jobs, mirroring PeekShared.
 func PeekSharedIsland(workload string, population, generations, islands, migrationEvery int, seed uint64) (*evolve.IslandRun, bool, bool) {
-	k := islandKey{
-		workload:       workload,
-		population:     population,
-		generations:    generations,
-		islands:        islands,
-		migrationEvery: migrationEvery,
-		seed:           seed,
-	}
-	if run, ok := islandCache.peek(k); ok {
-		return run, false, true
-	}
-	stored, ok := loadStoredIsland(k)
-	if !ok {
-		return nil, false, false
-	}
-	run, err := islandCache.get(k, func() (*evolve.IslandRun, error) { return stored, nil })
-	if err != nil {
-		return nil, false, false
-	}
-	return run, true, true
+	return islandCache.peek(store.Key{Workload: workload, Population: population, Generations: generations, Seed: seed, Islands: islands, MigrationEvery: migrationEvery})
 }

@@ -2,8 +2,8 @@ package experiments
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
+	"strings"
 
 	"repro/internal/evolve"
 	"repro/internal/hw/hwsim"
@@ -11,22 +11,15 @@ import (
 	"repro/internal/store"
 )
 
-// This file threads the Pareto (multi-objective) run type through the
-// same two cache tiers ordinary and island runs use — a singleflight
-// memory cache keyed on the full pareto tuple, backed by the
-// persistent store (one pareto.json artifact per key) — and registers
-// the Pareto-front figure generator over the existing workloads.
+// This file is the Pareto (multi-objective) run kind — its request, its
+// store codec (one pareto.json artifact per key), and its entry points
+// over the shared run tier — plus the Pareto-front figure generator
+// over the existing workloads.
 
 // paretoSchema stamps pareto.json artifacts.
 const paretoSchema = "genesys-pareto/1"
 
 const paretoFile = "pareto.json"
-
-// paretoDoc is the pareto.json payload.
-type paretoDoc struct {
-	Schema string            `json:"schema"`
-	Run    *evolve.ParetoRun `json:"run"`
-}
 
 // ParetoRequest describes one Pareto-mode run to resolve through the
 // shared cache. The tuple (Workload, Population, Generations, Seed,
@@ -53,61 +46,28 @@ type ParetoRequest struct {
 }
 
 // ParetoOutcome is the result of a shared Pareto request.
-type ParetoOutcome struct {
-	Run *evolve.ParetoRun
-	// Computed is true only for the request whose computation executed.
-	Computed bool
-	// Stored reports the cache miss was served from the persistent
-	// store (no computation ran).
-	Stored bool
-}
+type ParetoOutcome = RunOutcome[*evolve.ParetoRun]
 
 // JoinObjectives renders an objective vector in the canonical '+'
 // form used by store keys and the wire ("fitness+genes+energy").
-func JoinObjectives(names []string) string {
-	out := ""
-	for i, n := range names {
-		if i > 0 {
-			out += "+"
-		}
-		out += n
-	}
-	return out
-}
+func JoinObjectives(names []string) string { return strings.Join(names, "+") }
 
 // SplitObjectives parses the canonical '+' form back to a vector.
 func SplitObjectives(joined string) []string {
 	if joined == "" {
 		return nil
 	}
-	var out []string
-	start := 0
-	for i := 0; i <= len(joined); i++ {
-		if i == len(joined) || joined[i] == '+' {
-			out = append(out, joined[start:i])
-			start = i + 1
-		}
-	}
-	return out
+	return strings.Split(joined, "+")
 }
 
-func (req ParetoRequest) key() paretoKey {
-	return paretoKey{
-		workload:    req.Workload,
-		population:  req.Population,
-		generations: req.Generations,
-		seed:        req.Seed,
-		objectives:  JoinObjectives(req.Objectives),
-	}
-}
-
-func paretoStoreKeyFor(k paretoKey) store.Key {
+// key is the request's run identity.
+func (req ParetoRequest) key() store.Key {
 	return store.Key{
-		Workload:    k.workload,
-		Population:  k.population,
-		Generations: k.generations,
-		Seed:        k.seed,
-		Objectives:  k.objectives,
+		Workload:    req.Workload,
+		Population:  req.Population,
+		Generations: req.Generations,
+		Seed:        req.Seed,
+		Objectives:  JoinObjectives(req.Objectives),
 	}
 }
 
@@ -129,99 +89,34 @@ func RunSharedPareto(req ParetoRequest) (*ParetoOutcome, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	out := &ParetoOutcome{}
-	key := req.key()
-	run, err := paretoCache.get(key, func() (*evolve.ParetoRun, error) {
-		if stored, ok := loadStoredPareto(key); ok {
-			out.Stored = true
-			return stored, nil
-		}
-		out.Computed = true
-		ctx := req.Ctx
-		if ctx == nil {
-			ctx = context.Background()
-		}
-		evolutionsRun.Add(1)
-		r, cerr := evolve.RunPareto(ctx, spec)
-		if cerr != nil {
-			return nil, cerr
-		}
-		commitStoredPareto(key, r)
-		return r, nil
+	run, src, err := paretoCache.resolve(req.key(), func() (*evolve.ParetoRun, error) {
+		return evolve.RunPareto(orBackground(req.Ctx), spec)
 	})
 	if err != nil {
 		return nil, err
 	}
-	out.Run = run
-	return out, nil
+	return &ParetoOutcome{Run: run, Computed: src == fromCompute, Stored: src == fromStore}, nil
 }
 
-// loadStoredPareto rehydrates a Pareto run from the disk tier.
-func loadStoredPareto(k paretoKey) (*evolve.ParetoRun, bool) {
-	s := activeStore.Load()
-	if s == nil {
-		return nil, false
-	}
-	key := paretoStoreKeyFor(k)
-	art, ok := s.Get(key)
-	if !ok {
-		return nil, false
-	}
-	var doc paretoDoc
-	if err := json.Unmarshal(art.Files[paretoFile], &doc); err != nil || doc.Schema != paretoSchema || doc.Run == nil {
-		reason := "decode: bad pareto.json"
-		if err != nil {
-			reason = fmt.Sprintf("decode: %v", err)
-		}
-		s.QuarantineKey(key, reason)
-		return nil, false
-	}
-	if doc.Run.Seed != k.seed || JoinObjectives(doc.Run.Objectives) != k.objectives {
-		s.QuarantineKey(key, "decode: pareto.json does not match its key")
-		return nil, false
-	}
-	return doc.Run, true
+// encodePareto renders a finished Pareto run as its artifact.
+func encodePareto(_ store.Key, run *evolve.ParetoRun) (store.Meta, map[string][]byte, error) {
+	return encodeDoc(paretoFile, paretoSchema, run, store.Meta{Solved: run.Solved, BestFitness: run.BestFitness, Generations: len(run.History)})
 }
 
-// commitStoredPareto writes a freshly computed Pareto run to the disk
-// tier (best-effort, like commitStored).
-func commitStoredPareto(k paretoKey, run *evolve.ParetoRun) {
-	s := activeStore.Load()
-	if s == nil {
-		return
+// decodePareto rebuilds a Pareto run from its artifact.
+func decodePareto(k store.Key, art *store.Artifact) (*evolve.ParetoRun, error) {
+	run, err := decodeDoc[evolve.ParetoRun](art, paretoFile, paretoSchema)
+	if err == nil && (run.Seed != k.Seed || JoinObjectives(run.Objectives) != k.Objectives) {
+		return nil, fmt.Errorf("%s does not match its key", paretoFile)
 	}
-	payload, err := json.Marshal(&paretoDoc{Schema: paretoSchema, Run: run})
-	if err != nil {
-		return
-	}
-	s.Put(paretoStoreKeyFor(k),
-		store.Meta{Solved: run.Solved, BestFitness: run.BestFitness, Generations: len(run.History)},
-		map[string][]byte{paretoFile: payload})
+	return run, err
 }
 
 // PeekSharedPareto answers a Pareto request from memory or disk
 // without computing — the coordinator's store-hit proxy for pareto
 // jobs, mirroring PeekShared/PeekSharedIsland.
 func PeekSharedPareto(workload string, population, generations int, seed uint64, objectives []string) (*evolve.ParetoRun, bool, bool) {
-	k := paretoKey{
-		workload:    workload,
-		population:  population,
-		generations: generations,
-		seed:        seed,
-		objectives:  JoinObjectives(objectives),
-	}
-	if run, ok := paretoCache.peek(k); ok {
-		return run, false, true
-	}
-	stored, ok := loadStoredPareto(k)
-	if !ok {
-		return nil, false, false
-	}
-	run, err := paretoCache.get(k, func() (*evolve.ParetoRun, error) { return stored, nil })
-	if err != nil {
-		return nil, false, false
-	}
-	return run, true, true
+	return paretoCache.peek(store.Key{Workload: workload, Population: population, Generations: generations, Seed: seed, Objectives: JoinObjectives(objectives)})
 }
 
 // --- the Pareto-front figure ---

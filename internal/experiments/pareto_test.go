@@ -179,30 +179,63 @@ func TestRunSharedParetoValidates(t *testing.T) {
 	}
 }
 
-// TestParetoQuarantineOnBadSchema: a corrupt pareto.json is
-// quarantined and recomputed rather than replayed.
+// TestParetoQuarantineOnBadSchema: a wrong-schema artifact of any run
+// kind — pareto.json, islands.json, or a scalar run's history.json —
+// is quarantined and recomputed rather than replayed.
 func TestParetoQuarantineOnBadSchema(t *testing.T) {
-	s := withTestStore(t, store.Config{})
-	ResetCaches()
+	cases := []struct {
+		name string
+		key  store.Key
+		file string
+		run  func() (computed, stored bool, err error)
+	}{
+		{"pareto", paretoReq(889007).key(), paretoFile, func() (bool, bool, error) {
+			out, err := RunSharedPareto(paretoReq(889007))
+			if err != nil {
+				return false, false, err
+			}
+			return out.Computed, out.Stored, nil
+		}},
+		{"island", islandReq(888007).key(), islandsFile, func() (bool, bool, error) {
+			out, err := RunSharedIsland(islandReq(888007))
+			if err != nil {
+				return false, false, err
+			}
+			return out.Computed, out.Stored, nil
+		}},
+		{"scalar", persistReq(777007).key(), historyFile, func() (bool, bool, error) {
+			out, err := RunShared(persistReq(777007))
+			if err != nil {
+				return false, false, err
+			}
+			return out.Computed, out.Stored, nil
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := withTestStore(t, store.Config{})
+			ResetCaches()
 
-	// Seed the store with a wrong-schema artifact under the run's key
-	// (content hashes valid, so only the semantic decode can catch it).
-	req := paretoReq(889007)
-	key := paretoStoreKeyFor(req.key())
-	if err := s.Put(key, store.Meta{}, map[string][]byte{
-		paretoFile: []byte(`{"schema":"genesys-wrong/9","run":null}`),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	out, err := RunSharedPareto(req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !out.Computed || out.Stored {
-		t.Fatalf("bad artifact replayed: Computed=%v Stored=%v", out.Computed, out.Stored)
-	}
-	if len(s.Quarantined()) == 0 {
-		t.Fatal("bad artifact not quarantined")
+			// Seed the store with a wrong-schema artifact under the run's
+			// key (content hashes valid, so only the semantic decode can
+			// catch it).
+			key := tc.key
+			if err := s.Put(key, store.Meta{}, map[string][]byte{
+				tc.file: []byte(`{"schema":"genesys-wrong/9","run":null}`),
+			}); err != nil {
+				t.Fatal(err)
+			}
+			computed, stored, err := tc.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !computed || stored {
+				t.Fatalf("bad artifact replayed: Computed=%v Stored=%v", computed, stored)
+			}
+			if len(s.Quarantined()) == 0 {
+				t.Fatal("bad artifact not quarantined")
+			}
+		})
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"repro/internal/evolve"
 	"repro/internal/hw/hwsim"
 	"repro/internal/neat"
+	"repro/internal/store"
 	"repro/internal/trace"
 )
 
@@ -100,74 +101,48 @@ type SharedRun struct {
 	Stored bool
 }
 
+// key is the request's run identity: the literal tuple.
+func (req SharedRequest) key() store.Key {
+	return store.Key{Workload: req.Workload, Population: req.Population, Generations: req.Generations, Seed: req.Seed}
+}
+
 // RunShared resolves one evolution through the package's singleflight
 // run cache: the first request of a key executes it (honoring Sink,
 // checkpointing, and cancellation), concurrent requests block on that
 // execution, later requests return the memoized run immediately.
 func RunShared(req SharedRequest) (*SharedRun, error) {
-	opt := Options{
-		Seed:           req.Seed,
-		MaxGenerations: req.Generations,
-		Population:     req.Population,
-		// Mirror the sizes into the RAM knobs so the cache key is the
-		// literal request tuple for RAM workloads too.
-		RAMPopulation:  req.Population,
-		RAMGenerations: req.Generations,
-	}
-	out := &SharedRun{}
-	key := runKeyFor(req.Workload, opt, 0)
-	e, err := runCache.get(key, func() (*evolved, error) {
-		if se, ok := loadStored(key); ok {
-			out.Stored = true
-			return se, nil
-		}
-		out.Computed = true
-		e, cerr := evolveSharedLocked(req, out)
-		if cerr != nil {
-			return nil, cerr
-		}
-		// A resumed run's History covers only the post-restore
-		// generations (the SharedRun contract), so committing it would
-		// poison byte-identical replay; only uninterrupted runs persist.
-		if !out.Resumed {
-			commitStored(key, e)
-		}
-		return e, nil
-	})
+	out, _, err := resolveShared(req)
+	return out, err
+}
+
+// resolveShared is RunShared returning the cache entry too — the one
+// scalar path, shared with the figure generators' runWorkload.
+func resolveShared(req SharedRequest) (*SharedRun, *evolved, error) {
+	e, src, err := runCache.resolve(req.key(), func() (*evolved, error) { return evolveShared(req) })
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	out.Runner, out.Trace, out.Solved = e.runner, e.trace, e.solved
-	return out, nil
+	return &SharedRun{
+		Runner:   e.runner,
+		Trace:    e.trace,
+		Solved:   e.solved,
+		Resumed:  src == fromCompute && e.resumed,
+		Computed: src == fromCompute,
+		Stored:   src == fromStore,
+	}, e, nil
 }
 
 // PeekShared answers a run request from what this process already has
 // — the memory cache, then the persistent store — without ever
 // computing. It is the coordinator's store-hit proxy seam: before
 // dispatching a job to the fleet, the coordinator checks whether it
-// can replay the run locally. A store hit is memoized so repeated
-// peeks of the same key read disk once.
+// can replay the run locally.
 func PeekShared(workload string, population, generations int, seed uint64) (*SharedRun, bool) {
-	opt := Options{
-		Seed:           seed,
-		MaxGenerations: generations,
-		Population:     population,
-		RAMPopulation:  population,
-		RAMGenerations: generations,
-	}
-	key := runKeyFor(workload, opt, 0)
-	if e, ok := runCache.peek(key); ok {
-		return &SharedRun{Runner: e.runner, Trace: e.trace, Solved: e.solved}, true
-	}
-	se, ok := loadStored(key)
+	e, stored, ok := runCache.peek(store.Key{Workload: workload, Population: population, Generations: generations, Seed: seed})
 	if !ok {
 		return nil, false
 	}
-	e, err := runCache.get(key, func() (*evolved, error) { return se, nil })
-	if err != nil {
-		return nil, false
-	}
-	return &SharedRun{Runner: e.runner, Trace: e.trace, Solved: e.solved, Stored: true}, true
+	return &SharedRun{Runner: e.runner, Trace: e.trace, Solved: e.solved, Stored: stored}, true
 }
 
 // EvolutionsExecuted reports how many evolution computations (single
@@ -176,13 +151,9 @@ func PeekShared(workload string, population, generations int, seed uint64) (*Sha
 // prove deduplication.
 func EvolutionsExecuted() int64 { return evolutionsExecuted() }
 
-// evolveSharedLocked is the cache-miss body of RunShared. It runs on
-// the requesting goroutine under the key's singleflight slot.
-func evolveSharedLocked(req SharedRequest, out *SharedRun) (*evolved, error) {
-	ctx := req.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// evolveShared is the cache-miss body of RunShared. It runs on the
+// requesting goroutine under the key's singleflight slot.
+func evolveShared(req SharedRequest) (*evolved, error) {
 	cfg := neat.DefaultConfig(1, 1)
 	cfg.PopulationSize = req.Population
 	r, err := evolve.NewRunner(req.Workload, cfg, req.Seed)
@@ -199,6 +170,7 @@ func evolveSharedLocked(req SharedRequest, out *SharedRun) (*evolved, error) {
 		r.CheckpointPath = req.CheckpointPath
 		r.CheckpointEvery = req.CheckpointEvery
 	}
+	resumed := false
 	resume := req.ResumeFromPath
 	if resume == "" {
 		resume = req.CheckpointPath
@@ -208,14 +180,13 @@ func evolveSharedLocked(req SharedRequest, out *SharedRun) (*evolved, error) {
 			if rerr := r.RestoreCheckpoint(resume); rerr != nil {
 				return nil, rerr
 			}
-			out.Resumed = true
+			resumed = true
 		}
 	}
 	if req.OnRunner != nil {
 		req.OnRunner(r)
 	}
-	evolutionsRun.Add(1)
-	solved, err := r.Run(ctx, req.Generations)
+	solved, err := r.Run(orBackground(req.Ctx), req.Generations)
 	if err != nil {
 		return nil, err
 	}
@@ -235,5 +206,5 @@ func evolveSharedLocked(req SharedRequest, out *SharedRun) (*evolved, error) {
 	// otherwise every finished daemon job keeps its batch planes and
 	// environment pool live and GC scan time grows with jobs completed.
 	r.ReleaseEvalState()
-	return &evolved{runner: r, trace: tr, solved: solved}, nil
+	return &evolved{runner: r, trace: tr, solved: solved, resumed: resumed}, nil
 }

@@ -31,7 +31,10 @@ func (s *Server) EnableCluster(m *cluster.Membership) {
 		var req struct {
 			Addr string `json:"addr"`
 		}
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.Addr == "" {
+		if !decodeBody(w, r, &req, "join") {
+			return
+		}
+		if req.Addr == "" {
 			writeJSON(w, http.StatusBadRequest, errorBody{Error: "join: body must be {\"addr\": \"http://host:port\"}"})
 			return
 		}

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/evolve"
-	"repro/internal/experiments"
 	"repro/internal/hw/hwsim"
 )
 
@@ -38,14 +37,13 @@ type Dispatcher struct {
 	// deaths; 0 means 4.
 	MaxAttempts int
 
-	init     sync.Once
-	counters *hwsim.Counters
-	ctr      *hwsim.Counters
-	// phases aggregates per-phase generation wall-clock for every run
-	// the coordinator computes in-process (island local fallback, Pareto
-	// local resolution) — the same accounting localExecutor keeps, so
-	// a coordinator's /metrics carries the phase tree too.
-	phases *hwsim.Counters
+	init sync.Once
+	ctr  *hwsim.Counters
+	// local resolves jobs through the shared run tier in this process
+	// (default execution shape); its phase node accounts every run the
+	// coordinator computes itself (island local fallback, Pareto with an
+	// empty fleet), so a coordinator's /metrics carries the phase tree.
+	local *localExecutor
 
 	mu       sync.Mutex
 	inflight map[string]int // live dispatched jobs per worker id
@@ -99,7 +97,7 @@ func (d *Dispatcher) attempts() int {
 // adopts it into the daemon's /metrics tree.
 func (d *Dispatcher) Counters() *hwsim.Counters {
 	d.ensure()
-	return d.counters
+	return d.ctr
 }
 
 // Phases exposes the dispatcher's phase-accounting node — the
@@ -108,18 +106,17 @@ func (d *Dispatcher) Counters() *hwsim.Counters {
 // in-process exactly as a single-process daemon does.
 func (d *Dispatcher) Phases() *hwsim.Counters {
 	d.ensure()
-	return d.phases
+	return d.local.phases
 }
 
 func (d *Dispatcher) ensure() {
 	d.init.Do(func() {
-		d.counters = hwsim.New("cluster")
-		d.ctr = d.counters
-		d.phases = hwsim.New("phases")
+		d.ctr = hwsim.New("cluster")
+		d.local = newLocalExecutor(Config{})
 		d.inflight = map[string]int{}
 		d.live = map[string]*liveDispatch{}
 		// Fleet gauges refresh at snapshot time from the registry.
-		d.counters.OnSnapshot(func(c *hwsim.Counters) {
+		d.ctr.OnSnapshot(func(c *hwsim.Counters) {
 			status, points := d.Members.Status()
 			live := 0
 			for _, st := range status {
@@ -131,7 +128,7 @@ func (d *Dispatcher) ensure() {
 			c.SetInt("workers_live", int64(live))
 			c.SetInt("ring_points", int64(points))
 		})
-		d.counters.Child("inflight").OnSnapshot(func(c *hwsim.Counters) {
+		d.ctr.Child("inflight").OnSnapshot(func(c *hwsim.Counters) {
 			d.mu.Lock()
 			for id, n := range d.inflight {
 				c.SetInt(id, int64(n))
@@ -151,66 +148,16 @@ func (d *Dispatcher) track(workerID string, delta int) {
 }
 
 // Execute routes one admitted job to the fleet. Jobs the coordinator
-// can answer from its own run cache or store never touch a worker.
+// can answer from its own run cache or store never touch a worker;
+// the rest resolve through the shared run tier with the fleet placing
+// their cache misses (see localExecutor.resolve).
 func (d *Dispatcher) Execute(ctx context.Context, j *Job, sink hwsim.Sink) (Outcome, error) {
 	d.ensure()
-	if j.Spec.IsIsland() {
-		return d.executeIsland(ctx, j, sink)
-	}
-	if j.Spec.IsPareto() {
-		return d.executePareto(ctx, j, sink)
-	}
-	if run, ok := experiments.PeekShared(j.Spec.Workload, j.Spec.Population, j.Spec.Generations, j.Spec.Seed); ok {
+	if out, ok := peek(j.Spec, sink); ok {
 		d.ctr.AddInt("proxied_store_hits", 1)
-		return replayShared(j.Spec.Workload, run, sink), nil
+		return out, nil
 	}
-	return d.dispatch(ctx, j, sink)
-}
-
-// replayShared streams a locally cached run's history through sink and
-// folds it into an Outcome — the coordinator's store-hit proxy.
-func replayShared(workload string, run *experiments.SharedRun, sink hwsim.Sink) Outcome {
-	var best float64
-	for i, st := range run.Runner.History {
-		sink.Record(hwsim.Record{
-			Workload:   workload,
-			Generation: st.Generation,
-			Report:     st.CounterReport(),
-		})
-		if i == 0 || st.MaxFitness > best {
-			best = st.MaxFitness
-		}
-	}
-	return Outcome{
-		Solved: run.Solved,
-		Shared: true,
-		Stored: run.Stored,
-		Best:   best,
-		Gens:   len(run.Runner.History),
-	}
-}
-
-// executePareto resolves a Pareto-mode job: answered from the
-// coordinator's own run cache or store when possible, computed
-// in-process when the fleet is empty (mirroring the island local
-// fallback), and otherwise dispatched to the key's ring owner exactly
-// like an ordinary job — the worker streams history plus front
-// records, whose generation numbers continue monotonically, so the
-// coordinator's dedup proxy forwards them unchanged.
-func (d *Dispatcher) executePareto(ctx context.Context, j *Job, sink hwsim.Sink) (Outcome, error) {
-	objectives := experiments.SplitObjectives(j.Spec.Objectives)
-	if run, stored, ok := experiments.PeekSharedPareto(j.Spec.Workload, j.Spec.Population, j.Spec.Generations, j.Spec.Seed, objectives); ok {
-		d.ctr.AddInt("proxied_store_hits", 1)
-		evolve.ReplayParetoRecords(run, sink)
-		return paretoOutcome(run, true, stored), nil
-	}
-	if len(d.Members.Live()) == 0 {
-		// No fleet: the coordinator is the only compute. The run is
-		// deterministic, so the result is identical to a worker's.
-		d.ctr.AddInt("pareto_local", 1)
-		return resolveParetoLocal(ctx, j, sink, d.phases, 0, 0)
-	}
-	return d.dispatch(ctx, j, sink)
+	return d.local.resolve(ctx, j, sink, d)
 }
 
 // registerDispatch publishes a placed job for Rebalance to see.
@@ -405,32 +352,6 @@ func (d *Dispatcher) runOn(ctx context.Context, owner cluster.Member, j *Job, si
 	}
 }
 
-// executeIsland resolves an island job through the shared island
-// cache, computing cold misses on the fleet (every live worker gets a
-// shard). The result is byte-identical to the single-process
-// reference, so cache and store contents are fleet-shape independent.
-func (d *Dispatcher) executeIsland(ctx context.Context, j *Job, sink hwsim.Sink) (Outcome, error) {
-	out, err := experiments.RunSharedIsland(experiments.IslandRequest{
-		Workload:       j.Spec.Workload,
-		Population:     j.Spec.Population,
-		Generations:    j.Spec.Generations,
-		Islands:        j.Spec.Islands,
-		MigrationEvery: j.Spec.MigrationEvery,
-		Seed:           j.Spec.Seed,
-		Ctx:            ctx,
-		Run: func(ctx context.Context) (*evolve.IslandRun, error) {
-			return d.runIslandsOnFleet(ctx, j)
-		},
-	})
-	if err != nil {
-		return Outcome{}, err
-	}
-	if out.Stored {
-		d.ctr.AddInt("proxied_store_hits", 1)
-	}
-	return islandOutcome(out, sink), nil
-}
-
 // runIslandsOnFleet computes one island run across the live workers,
 // restarting on the survivors when a shard's worker dies (the run is
 // deterministic, so the fleet shape never changes the result). With
@@ -440,7 +361,7 @@ func (d *Dispatcher) runIslandsOnFleet(ctx context.Context, j *Job) (*evolve.Isl
 	// The local fallback computes in-process; account its phase
 	// wall-clock like any other local run. (Distributed shards account
 	// on their own workers.)
-	spec.Phases = d.phases
+	spec.Phases = d.local.phases
 	session := j.Spec.key() + "@" + j.ID
 	var lastErr error
 	for attempt := 0; attempt < d.attempts(); attempt++ {

@@ -27,27 +27,87 @@ func newLocalExecutor(cfg Config) *localExecutor {
 	return &localExecutor{cfg: cfg, phases: hwsim.New("phases")}
 }
 
-// Counters exposes the executor's phase-accounting node; the scheduler
-// mounts it into the daemon's /metrics registry via the same adoption
-// seam the cluster Dispatcher uses.
-func (e *localExecutor) Counters() *hwsim.Counters { return e.phases }
+// Phases exposes the executor's phase-accounting node; the scheduler
+// mounts it into the daemon's /metrics registry.
+func (e *localExecutor) Phases() *hwsim.Counters { return e.phases }
 
-// Execute resolves one job through the shared run cache (ordinary or
-// island flavor), streaming records through sink either live (cache
-// miss) or by replaying the memoized history (hit).
+// Execute resolves one job in-process through the shared run tier of
+// its kind.
 func (e *localExecutor) Execute(ctx context.Context, j *Job, sink hwsim.Sink) (Outcome, error) {
-	if j.Spec.IsIsland() {
-		return e.executeIsland(ctx, j, sink)
-	}
-	if j.Spec.IsPareto() {
-		return e.executePareto(ctx, j, sink)
-	}
+	return e.resolve(ctx, j, sink, nil)
+}
 
+// resolve runs a job through the shared run tier of its kind — the one
+// switch on run kind in the executor path — and finishes its record
+// stream. With fleet nil every cache miss computes in this process.
+// On a coordinator, fleet places the misses: island runs shard across
+// the live workers, scalar and Pareto runs go to the key's ring owner,
+// except that a Pareto run with an empty fleet computes here (scalar
+// jobs then fail with "no live workers"). Front records continue the
+// history's generation numbers, so the coordinator's dedup proxy
+// forwards a worker's Pareto stream unchanged.
+//
+// Island and Pareto runs have no checkpoint machinery: each is
+// deterministic end to end, so interruption means recomputation, and
+// the store tier still dedupes across restarts.
+func (e *localExecutor) resolve(ctx context.Context, j *Job, sink hwsim.Sink, fleet *Dispatcher) (Outcome, error) {
+	sp := j.Spec
+	switch {
+	case sp.IsIsland():
+		req := experiments.IslandRequest{
+			Workload:       sp.Workload,
+			Population:     sp.Population,
+			Generations:    sp.Generations,
+			Islands:        sp.Islands,
+			MigrationEvery: sp.MigrationEvery,
+			Seed:           sp.Seed,
+			Ctx:            ctx,
+			Parallelism:    e.cfg.RunnerParallelism,
+			BatchWidth:     e.cfg.RunnerBatchWidth,
+			Phases:         e.phases,
+		}
+		if fleet != nil {
+			req.Run = func(ctx context.Context) (*evolve.IslandRun, error) { return fleet.runIslandsOnFleet(ctx, j) }
+		}
+		out, err := experiments.RunSharedIsland(req)
+		if err != nil {
+			return Outcome{}, err
+		}
+		return islandResult(out.Run).outcome(sink, out.Computed, out.Stored, false), nil
+	case sp.IsPareto():
+		if fleet != nil {
+			if len(fleet.Members.Live()) > 0 {
+				return fleet.dispatch(ctx, j, sink)
+			}
+			// No fleet: the coordinator is the only compute. The run is
+			// deterministic, so the result is identical to a worker's.
+			fleet.ctr.AddInt("pareto_local", 1)
+		}
+		out, err := experiments.RunSharedPareto(experiments.ParetoRequest{
+			Workload:    sp.Workload,
+			Population:  sp.Population,
+			Generations: sp.Generations,
+			Seed:        sp.Seed,
+			Objectives:  experiments.SplitObjectives(sp.Objectives),
+			Ctx:         ctx,
+			Parallelism: e.cfg.RunnerParallelism,
+			BatchWidth:  e.cfg.RunnerBatchWidth,
+			Phases:      e.phases,
+			Sink:        sink,
+		})
+		if err != nil {
+			return Outcome{}, err
+		}
+		return paretoResult(out.Run).outcome(sink, out.Computed, out.Stored, false), nil
+	}
+	if fleet != nil {
+		return fleet.dispatch(ctx, j, sink)
+	}
 	req := experiments.SharedRequest{
-		Workload:    j.Spec.Workload,
-		Population:  j.Spec.Population,
-		Generations: j.Spec.Generations,
-		Seed:        j.Spec.Seed,
+		Workload:    sp.Workload,
+		Population:  sp.Population,
+		Generations: sp.Generations,
+		Seed:        sp.Seed,
 		Ctx:         ctx,
 		Sink:        sink,
 		Parallelism: e.cfg.RunnerParallelism,
@@ -56,7 +116,7 @@ func (e *localExecutor) Execute(ctx context.Context, j *Job, sink hwsim.Sink) (O
 		Phases:      e.phases,
 	}
 	if e.cfg.CheckpointDir != "" {
-		key := j.Spec.key()
+		key := sp.key()
 		req.CheckpointPath = checkpointFile(e.cfg.CheckpointDir, key, e.cfg.WorkerID)
 		req.CheckpointEvery = e.cfg.CheckpointEvery
 		// Resume from the freshest checkpoint of this key regardless of
@@ -66,132 +126,91 @@ func (e *localExecutor) Execute(ctx context.Context, j *Job, sink hwsim.Sink) (O
 			req.ResumeFromPath = resume
 		}
 	}
-
 	res, err := experiments.RunShared(req)
 	if err != nil {
 		return Outcome{}, err
 	}
-	if !res.Computed {
-		// Served from the run cache (memory or disk tier): replay the
-		// memoized history so this job's subscribers see the same record
-		// stream a fresh execution would have produced.
-		for _, st := range res.Runner.History {
-			sink.Record(hwsim.Record{
-				Workload:   j.Spec.Workload,
-				Generation: st.Generation,
-				Report:     st.CounterReport(),
-			})
+	return scalarResult(sp.Workload, res).outcome(sink, res.Computed, res.Stored, res.Resumed), nil
+}
+
+// peek answers a job spec from this process's run cache or store
+// without computing — the coordinator's store-hit proxy — replaying
+// the memoized record stream through sink.
+func peek(sp Spec, sink hwsim.Sink) (Outcome, bool) {
+	switch {
+	case sp.IsIsland():
+		run, stored, ok := experiments.PeekSharedIsland(sp.Workload, sp.Population, sp.Generations, sp.Islands, sp.MigrationEvery, sp.Seed)
+		if !ok {
+			return Outcome{}, false
 		}
+		return islandResult(run).outcome(sink, false, stored, false), true
+	case sp.IsPareto():
+		run, stored, ok := experiments.PeekSharedPareto(sp.Workload, sp.Population, sp.Generations, sp.Seed, experiments.SplitObjectives(sp.Objectives))
+		if !ok {
+			return Outcome{}, false
+		}
+		return paretoResult(run).outcome(sink, false, stored, false), true
 	}
+	run, ok := experiments.PeekShared(sp.Workload, sp.Population, sp.Generations, sp.Seed)
+	if !ok {
+		return Outcome{}, false
+	}
+	return scalarResult(sp.Workload, run).outcome(sink, false, run.Stored, false), true
+}
+
+// result is a resolved run of any kind as its job reports and streams
+// it. The record stream is live followed by rest (either may be nil):
+// a computing scalar or Pareto run emits its history live while it
+// evolves; an island run's per-island runners never stream, so all of
+// its stream is rest.
+type result struct {
+	solved     bool
+	best       float64
+	gens       int
+	live, rest func(hwsim.Sink)
+}
+
+func scalarResult(workload string, run *experiments.SharedRun) result {
+	h := run.Runner.History
 	var best float64
-	for i, st := range res.Runner.History {
+	for i, st := range h {
 		if i == 0 || st.MaxFitness > best {
 			best = st.MaxFitness
 		}
 	}
-	return Outcome{
-		Solved:  res.Solved,
-		Shared:  !res.Computed,
-		Resumed: res.Resumed,
-		Stored:  res.Stored,
-		Best:    best,
-		Gens:    len(res.Runner.History),
-	}, nil
-}
-
-// executeIsland resolves an island-model job through the island run
-// cache. Island runs have no checkpoint machinery (each segment is
-// short and the whole run is deterministic), so interruption means
-// recomputation — the store tier still dedupes across restarts.
-func (e *localExecutor) executeIsland(ctx context.Context, j *Job, sink hwsim.Sink) (Outcome, error) {
-	out, err := experiments.RunSharedIsland(experiments.IslandRequest{
-		Workload:       j.Spec.Workload,
-		Population:     j.Spec.Population,
-		Generations:    j.Spec.Generations,
-		Islands:        j.Spec.Islands,
-		MigrationEvery: j.Spec.MigrationEvery,
-		Seed:           j.Spec.Seed,
-		Ctx:            ctx,
-		Parallelism:    e.cfg.RunnerParallelism,
-		BatchWidth:     e.cfg.RunnerBatchWidth,
-		Phases:         e.phases,
-	})
-	if err != nil {
-		return Outcome{}, err
-	}
-	return islandOutcome(out, sink), nil
-}
-
-// executePareto resolves a Pareto-mode job through the Pareto run
-// cache. On a cache miss this executor's run streams its history live
-// through sink and appends the front records once the run completes;
-// every hit (memory, store, or singleflight wait) replays the full
-// stream from the memoized run. Both paths produce byte-identical
-// record streams, so subscribers cannot tell a hit from a miss. Like
-// island jobs, Pareto runs have no checkpoint machinery — the run is
-// deterministic end to end and the store tier dedupes across restarts.
-func (e *localExecutor) executePareto(ctx context.Context, j *Job, sink hwsim.Sink) (Outcome, error) {
-	return resolveParetoLocal(ctx, j, sink, e.phases, e.cfg.RunnerParallelism, e.cfg.RunnerBatchWidth)
-}
-
-// resolveParetoLocal resolves a Pareto job through the shared Pareto
-// cache in-process — the body of localExecutor.executePareto, shared
-// with the Dispatcher's empty-fleet fallback.
-func resolveParetoLocal(ctx context.Context, j *Job, sink hwsim.Sink, phases *hwsim.Counters, parallelism, batchWidth int) (Outcome, error) {
-	out, err := experiments.RunSharedPareto(experiments.ParetoRequest{
-		Workload:    j.Spec.Workload,
-		Population:  j.Spec.Population,
-		Generations: j.Spec.Generations,
-		Seed:        j.Spec.Seed,
-		Objectives:  experiments.SplitObjectives(j.Spec.Objectives),
-		Ctx:         ctx,
-		Parallelism: parallelism,
-		BatchWidth:  batchWidth,
-		Phases:      phases,
-		Sink:        sink,
-	})
-	if err != nil {
-		return Outcome{}, err
-	}
-	if out.Computed {
-		// History already streamed live; finish with the front records.
-		evolve.FrontRecords(out.Run, sink)
-	} else {
-		evolve.ReplayParetoRecords(out.Run, sink)
-	}
-	return paretoOutcome(out.Run, !out.Computed, out.Stored), nil
-}
-
-// paretoOutcome folds a resolved Pareto run into a job Outcome.
-func paretoOutcome(run *evolve.ParetoRun, shared, stored bool) Outcome {
-	return Outcome{
-		Solved: run.Solved,
-		Shared: shared,
-		Stored: stored,
-		Best:   run.BestFitness,
-		Gens:   len(run.History),
+	return result{
+		solved: run.Solved, best: best, gens: len(h),
+		live: func(sink hwsim.Sink) { evolve.ReplayHistory(workload, h, sink) },
 	}
 }
 
-// islandOutcome converts a shared island result into a job Outcome,
-// replaying the run's records through sink. Island runs always replay
-// (the per-island runners never stream live), so a computed run and a
-// cache hit produce the identical record stream.
-func islandOutcome(out *experiments.IslandOutcome, sink hwsim.Sink) Outcome {
-	evolve.ReplayIslandRecords(out.Run, sink)
-	gens := 0
-	for _, ir := range out.Run.Results {
-		if len(ir.History) > gens {
-			gens = len(ir.History)
-		}
+func paretoResult(run *evolve.ParetoRun) result {
+	return result{
+		solved: run.Solved, best: run.BestFitness, gens: len(run.History),
+		live: func(sink hwsim.Sink) { evolve.ReplayHistory(run.Workload, run.History, sink) },
+		rest: func(sink hwsim.Sink) { evolve.FrontRecords(run, sink) },
 	}
-	return Outcome{
-		Solved: out.Run.Solved,
-		Shared: !out.Computed,
-		Stored: out.Stored,
-		Best:   out.Run.BestFitness,
-		Gens:   gens,
+}
+
+func islandResult(run *evolve.IslandRun) result {
+	return result{
+		solved: run.Solved, best: run.BestFitness, gens: run.Evolved(),
+		rest: func(sink hwsim.Sink) { evolve.ReplayIslandRecords(run, sink) },
 	}
+}
+
+// outcome finishes the job's record stream — replaying the live part
+// too unless this request computed the run and already streamed it —
+// and folds the run into the job's Outcome. Every path emits the same
+// records, so subscribers cannot tell a hit from a miss.
+func (r result) outcome(sink hwsim.Sink, computed, stored, resumed bool) Outcome {
+	if r.live != nil && !computed {
+		r.live(sink)
+	}
+	if r.rest != nil {
+		r.rest(sink)
+	}
+	return Outcome{Solved: r.solved, Shared: !computed, Resumed: resumed, Stored: stored, Best: r.best, Gens: r.gens}
 }
 
 // checkpointFile names the checkpoint a job writes: the cache key,

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/evolve"
 	"repro/internal/experiments"
+	"repro/internal/store"
 )
 
 // State is a job's lifecycle position. The transitions are:
@@ -132,20 +133,38 @@ func (sp Spec) validate() error {
 	return nil
 }
 
-// key is the spec's run-cache identity rendered as a stable string —
-// used for checkpoint file names and cluster sharding, so an
-// interrupted job's resubmission finds its checkpoint and the ring
-// finds the same owner by construction. Matches store.Key.String().
-func (sp Spec) key() string {
-	base := fmt.Sprintf("%s-p%d-g%d-s%d", sp.Workload, sp.Population, sp.Generations, sp.Seed)
-	if sp.IsIsland() {
-		base += fmt.Sprintf("-i%d-m%d", sp.Islands, sp.MigrationEvery)
+// storeKey is the spec's run identity — the store.Key the shared run
+// tier and the persistent store address the run by.
+func (sp Spec) storeKey() store.Key {
+	return store.Key{
+		Workload:       sp.Workload,
+		Population:     sp.Population,
+		Generations:    sp.Generations,
+		Seed:           sp.Seed,
+		Islands:        sp.Islands,
+		MigrationEvery: sp.MigrationEvery,
+		Objectives:     sp.Objectives,
 	}
-	if sp.IsPareto() {
-		base += "-o" + sp.Objectives
-	}
-	return base
 }
+
+// specOf is storeKey's inverse: the spec that resolves to run k.
+func specOf(k store.Key) Spec {
+	return Spec{
+		Workload:       k.Workload,
+		Population:     k.Population,
+		Generations:    k.Generations,
+		Seed:           k.Seed,
+		Islands:        k.Islands,
+		MigrationEvery: k.MigrationEvery,
+		Objectives:     k.Objectives,
+	}
+}
+
+// key is the run identity rendered as a stable string — used for
+// checkpoint file names and cluster sharding, so an interrupted job's
+// resubmission finds its checkpoint and the ring finds the same owner
+// by construction.
+func (sp Spec) key() string { return sp.storeKey().String() }
 
 // Job is one submitted evolution with its lifecycle state and record
 // stream. All mutable fields are guarded by mu; reads go through

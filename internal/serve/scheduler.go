@@ -206,10 +206,8 @@ func NewScheduler(cfg Config) *Scheduler {
 		s.counters.Adopt(cw.Counters())
 	}
 	if pw, ok := s.exec.(interface{ Phases() *hwsim.Counters }); ok {
-		// An executor keeping a separate phase-accounting node (the
-		// cluster Dispatcher — localExecutor's Counters() already IS its
-		// phase node) mounts it too, so coordinator /metrics carries
-		// evaluate/speciate/reproduce wall-clock like a worker's.
+		// Evaluate/speciate/reproduce wall-clock of the runs this
+		// process computes, on a worker and a coordinator alike.
 		s.counters.Adopt(pw.Phases())
 	}
 	s.ctrStream.OnSnapshot(func(c *hwsim.Counters) {
@@ -408,16 +406,9 @@ func (s *Scheduler) Recover() (store.RecoveryReport, []*Job) {
 	rep := s.cfg.Store.Recover()
 	jobs := make([]*Job, 0, len(rep.Interrupted))
 	for _, key := range rep.Interrupted {
-		j, err := s.Submit(Spec{
-			Workload:       key.Workload,
-			Population:     key.Population,
-			Generations:    key.Generations,
-			Seed:           key.Seed,
-			Islands:        key.Islands,
-			MigrationEvery: key.MigrationEvery,
-			Objectives:     key.Objectives,
-			Client:         "(recovery)",
-		})
+		spec := specOf(key)
+		spec.Client = "(recovery)"
+		j, err := s.Submit(spec)
 		if err != nil {
 			// Queue full or an unloadable workload: the checkpoint stays
 			// on disk and a later submission (or GC age-out) handles it.

@@ -38,7 +38,7 @@ import (
 //
 // Admission failures: 429 (+ Retry-After seconds) when shed over the
 // queue depth or per-client cap, 503 while draining, 400 for invalid
-// specs.
+// specs, 413 for a body over maxBodyBytes.
 type Server struct {
 	sched *Scheduler
 	mux   *http.ServeMux
@@ -95,10 +95,29 @@ func clientOf(spec Spec, r *http.Request) string {
 	return r.RemoteAddr
 }
 
+// maxBodyBytes bounds every JSON request body the daemon decodes (a
+// job spec or a join request is a few hundred bytes); larger bodies
+// are refused with 413 before they are buffered.
+const maxBodyBytes = 64 << 10
+
+// decodeBody decodes a size-bounded JSON request body into v. On
+// failure it writes the 413 (oversized) or 400 (malformed) answer,
+// prefixing a 400's message with what, and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, what string) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		writeJSON(w, http.StatusRequestEntityTooLarge, errorBody{Error: fmt.Sprintf("request body over %d bytes", tooBig.Limit)})
+	case err != nil:
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("%s: %v", what, err)})
+	}
+	return err == nil
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec Spec
-	if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: fmt.Sprintf("bad spec: %v", err)})
+	if !decodeBody(w, r, &spec, "bad spec") {
 		return
 	}
 	spec.Client = clientOf(spec, r)

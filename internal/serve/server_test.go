@@ -154,6 +154,27 @@ func TestAdmissionPerClientCap(t *testing.T) {
 	}
 }
 
+// TestSubmitOversizedBody: a POST /jobs body over maxBodyBytes is
+// refused with 413 before it is decoded, and no job is admitted — even
+// though the body is a valid spec (its client field is just huge).
+func TestSubmitOversizedBody(t *testing.T) {
+	sched, c, _ := startDaemon(t, Config{MaxRunning: 1, MaxQueue: 4})
+
+	body := `{"workload":"cartpole","population":24,"generations":3,"client":"` +
+		strings.Repeat("x", maxBodyBytes) + `"}`
+	resp, err := http.Post(c.Base+"/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized submit: status %d, want 413", resp.StatusCode)
+	}
+	if n := len(sched.Jobs()); n != 0 {
+		t.Fatalf("oversized submit admitted %d jobs", n)
+	}
+}
+
 // TestDedupSharedEvolution: identical (workload, pop, gens, seed)
 // submissions execute one evolution — the second job is served from
 // the run cache, streams the same records, and the execution counter

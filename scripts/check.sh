@@ -11,9 +11,9 @@
 # NEAT speciation kernel whose distance pass fans out over workers,
 # and the NSGA-II sort whose determinism test runs concurrently), a
 # server smoke that runs the real genesysd + genesysctl binaries end to
-# end on an ephemeral port — including a multi-objective job whose
-# Pareto-front stream must replay byte-identically from the shared run
-# cache — a durability smoke that SIGKILLs a
+# end on an ephemeral port — including a scalar, an island and a
+# multi-objective job whose streams must each replay byte-identically
+# from the shared run cache — a durability smoke that SIGKILLs a
 # store-backed daemon and proves the restarted one replays the result
 # from disk, a one-iteration smoke over the kernel and replay
 # trajectory benchmarks (so a change that breaks the bench harness
@@ -89,22 +89,31 @@ for phase in evaluate_ns speciate_ns reproduce_ns; do
     grep -q "\"$phase\": [1-9]" "$smokedir/metrics.json" \
         || { echo "metrics missing nonzero $phase" >&2; exit 1; }
 done
-# A multi-objective (NSGA-II) job end to end: the watch stream must
-# carry Pareto-front records after the history, and an identical
-# resubmission must replay the exact same stream from the shared run
-# cache — byte-identical modulo the job ids.
-p1=$("$smokedir/genesysctl" -addr "$addr" submit \
-    -workload cartpole -pop 24 -generations 3 -seed 888 \
-    -objectives fitness+genes+energy -watch)
-echo "$p1" | tail -4
-echo "$p1" | grep -q "front point" || { echo "no Pareto-front records" >&2; exit 1; }
-echo "$p1" | grep -q ": done solved=" || { echo "pareto job did not finish" >&2; exit 1; }
-p2=$("$smokedir/genesysctl" -addr "$addr" submit \
-    -workload cartpole -pop 24 -generations 3 -seed 888 \
-    -objectives fitness+genes+energy -watch)
+# Every run kind end to end through the one executor path — scalar,
+# island, and multi-objective (NSGA-II): an identical resubmission must
+# replay the exact same stream from the shared run cache, byte-identical
+# modulo the job ids, and the Pareto stream must carry front records
+# after the history.
 strip_ids() { grep -v '^submitted ' | sed 's/job-[0-9]*//g'; }
-[ "$(echo "$p1" | strip_ids)" = "$(echo "$p2" | strip_ids)" ] \
-    || { echo "pareto replay not byte-identical to the live stream" >&2; exit 1; }
+for kind in scalar island pareto; do
+    case $kind in
+        scalar) flags="" ;;
+        island) flags="-islands 2 -migration-every 2" ;;
+        pareto) flags="-objectives fitness+genes+energy" ;;
+    esac
+    # $flags is deliberately unquoted: it splits into separate options.
+    r1=$("$smokedir/genesysctl" -addr "$addr" submit \
+        -workload cartpole -pop 24 -generations 3 -seed 888 $flags -watch)
+    echo "$r1" | tail -2
+    echo "$r1" | grep -q ": done solved=" || { echo "$kind job did not finish" >&2; exit 1; }
+    if [ "$kind" = pareto ]; then
+        echo "$r1" | grep -q "front point" || { echo "no Pareto-front records" >&2; exit 1; }
+    fi
+    r2=$("$smokedir/genesysctl" -addr "$addr" submit \
+        -workload cartpole -pop 24 -generations 3 -seed 888 $flags -watch)
+    [ "$(echo "$r1" | strip_ids)" = "$(echo "$r2" | strip_ids)" ] \
+        || { echo "$kind replay not byte-identical to the live stream" >&2; exit 1; }
+done
 # SIGTERM must drain cleanly.
 kill -TERM "$daemon"
 wait "$daemon" || { echo "genesysd exited non-zero on SIGTERM" >&2; exit 1; }
