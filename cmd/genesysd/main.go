@@ -48,6 +48,12 @@ import (
 // its goroutine) forever. Bodies and SSE streams are not timed.
 const readHeaderTimeout = 10 * time.Second
 
+// idleTimeout closes a keep-alive connection that has sat idle between
+// requests this long, so clients that vanish without closing do not
+// pin connections (and their goroutines) for the daemon's lifetime.
+// Open SSE streams are in-flight requests, not idle, and are unaffected.
+const idleTimeout = 2 * time.Minute
+
 func main() {
 	var (
 		addr       = flag.String("addr", "127.0.0.1:8177", "listen address (port 0 picks an ephemeral port)")
@@ -197,7 +203,7 @@ func main() {
 	if *workerMode {
 		server.EnableWorker(cluster.NewWorkerAPI())
 	}
-	srv := &http.Server{Handler: server, ReadHeaderTimeout: readHeaderTimeout}
+	srv := &http.Server{Handler: server, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 
 	if runStore != nil {
 		rep, requeued := sched.Recover()

@@ -4,122 +4,278 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
+	"sort"
+	"strconv"
+	"sync"
+
+	"repro/internal/jsonwire"
 )
 
 // JSON serialization of genomes — checkpointing for long evolutionary
 // runs and interchange of evolved controllers. The format is explicit
 // (no packed words) so checkpoints remain readable and diffable; the
 // hardware word format (Pack/FromWords) remains the storage model for
-// the chip.
+// the chip. One genome is one object:
+//
+//	{"id":7,"fitness":1.5,
+//	 "nodes":[{"id":0,"type":"input","bias":0,"response":1,"activation":"sigmoid","aggregation":"sum"},...],
+//	 "conns":[{"src":0,"dst":3,"weight":-0.25,"enabled":true},...]}
+//
+// with an empty cluster written as null. AppendJSON and ReadJSON are the
+// codec, one pass each way. The bytes are exactly what encoding/json
+// writes for this schema; the tests keep a reflective encoding/json
+// implementation as the differential reference.
 
-// jsonNode is the serialized form of a node gene.
-type jsonNode struct {
-	ID          int32   `json:"id"`
-	Type        string  `json:"type"`
-	Bias        float64 `json:"bias"`
-	Response    float64 `json:"response"`
-	Activation  string  `json:"activation"`
-	Aggregation string  `json:"aggregation"`
+// nodeTypeName is a node type's serialized name ("" for an undefined
+// type, which no decoder accepts).
+func nodeTypeName(t NodeType) string {
+	switch t {
+	case Hidden:
+		return "hidden"
+	case Input:
+		return "input"
+	case Output:
+		return "output"
+	}
+	return ""
 }
 
-// jsonConn is the serialized form of a connection gene.
-type jsonConn struct {
-	Src     int32   `json:"src"`
-	Dst     int32   `json:"dst"`
-	Weight  float64 `json:"weight"`
-	Enabled bool    `json:"enabled"`
-}
+// undefined marks a node attribute the decoder has not (validly) read.
+const undefined = 0xff
 
-// jsonGenome is the serialized genome.
-type jsonGenome struct {
-	ID      int64      `json:"id"`
-	Fitness float64    `json:"fitness"`
-	Nodes   []jsonNode `json:"nodes"`
-	Conns   []jsonConn `json:"conns"`
-}
-
-// nodeTypeNames maps between NodeType and its serialized name.
-var nodeTypeNames = map[NodeType]string{Hidden: "hidden", Input: "input", Output: "output"}
-
-func nodeTypeFromName(s string) (NodeType, error) {
-	for t, n := range nodeTypeNames {
-		if n == s {
-			return t, nil
+func nodeTypeByName(b []byte) NodeType {
+	for t := Hidden; t <= Output; t++ {
+		if string(b) == nodeTypeName(t) {
+			return t
 		}
 	}
-	return 0, fmt.Errorf("gene: unknown node type %q", s)
+	return undefined
 }
 
-func activationFromName(s string) (Activation, error) {
-	for a := Activation(0); int(a) < NumActivations; a++ {
-		if a.String() == s {
-			return a, nil
+func activationByName(b []byte) Activation {
+	for a := Activation(0); a < numActivations; a++ {
+		if string(b) == a.String() {
+			return a
 		}
 	}
-	return 0, fmt.Errorf("gene: unknown activation %q", s)
+	return undefined
 }
 
-func aggregationFromName(s string) (Aggregation, error) {
-	for a := Aggregation(0); int(a) < NumAggregations; a++ {
-		if a.String() == s {
-			return a, nil
+func aggregationByName(b []byte) Aggregation {
+	for a := Aggregation(0); a < numAggregations; a++ {
+		if string(b) == a.String() {
+			return a
 		}
 	}
-	return 0, fmt.Errorf("gene: unknown aggregation %q", s)
+	return undefined
+}
+
+// AppendJSON appends the genome's compact JSON encoding to dst. It fails
+// only on a NaN or infinite attribute, which JSON cannot carry.
+func (g *Genome) AppendJSON(dst []byte) ([]byte, error) {
+	var err error
+	float := func(f float64) {
+		if err == nil {
+			dst, err = jsonwire.AppendFloat(dst, f)
+		}
+	}
+	dst = append(dst, `{"id":`...)
+	dst = strconv.AppendInt(dst, g.ID, 10)
+	dst = append(dst, `,"fitness":`...)
+	float(g.Fitness)
+	dst = append(dst, `,"nodes":`...)
+	if len(g.Nodes) == 0 {
+		dst = append(dst, "null"...)
+	}
+	for i := range g.Nodes {
+		n := &g.Nodes[i]
+		if i == 0 {
+			dst = append(dst, `[{"id":`...)
+		} else {
+			dst = append(dst, `,{"id":`...)
+		}
+		dst = strconv.AppendInt(dst, int64(n.NodeID), 10)
+		dst = append(dst, `,"type":"`...)
+		dst = append(dst, nodeTypeName(n.Type)...)
+		dst = append(dst, `","bias":`...)
+		float(n.Bias)
+		dst = append(dst, `,"response":`...)
+		float(n.Response)
+		dst = append(dst, `,"activation":"`...)
+		dst = append(dst, n.Activation.String()...)
+		dst = append(dst, `","aggregation":"`...)
+		dst = append(dst, n.Aggregation.String()...)
+		dst = append(dst, `"}`...)
+	}
+	if len(g.Nodes) > 0 {
+		dst = append(dst, ']')
+	}
+	dst = append(dst, `,"conns":`...)
+	if len(g.Conns) == 0 {
+		dst = append(dst, "null"...)
+	}
+	for i := range g.Conns {
+		c := &g.Conns[i]
+		if i == 0 {
+			dst = append(dst, `[{"src":`...)
+		} else {
+			dst = append(dst, `,{"src":`...)
+		}
+		dst = strconv.AppendInt(dst, int64(c.Src), 10)
+		dst = append(dst, `,"dst":`...)
+		dst = strconv.AppendInt(dst, int64(c.Dst), 10)
+		dst = append(dst, `,"weight":`...)
+		float(c.Weight)
+		dst = strconv.AppendBool(append(dst, `,"enabled":`...), c.Enabled)
+		dst = append(dst, '}')
+	}
+	if len(g.Conns) > 0 {
+		dst = append(dst, ']')
+	}
+	dst = append(dst, '}')
+	if err != nil {
+		return dst, fmt.Errorf("gene: genome %d: %w", g.ID, err)
+	}
+	return dst, nil
+}
+
+// ReadJSON decodes the genome object at the scanner's position and
+// validates it; on failure it returns nil and leaves the error in s.
+// The genome's phenotype version is stamped once, not per gene.
+func ReadJSON(s *jsonwire.Scanner) *Genome {
+	g := &Genome{}
+	s.Object(func(key []byte) {
+		switch string(key) {
+		case "id":
+			g.ID = s.Int(64)
+		case "fitness":
+			g.Fitness = s.Float()
+		case "nodes":
+			g.Nodes = readCluster(s, KindNode)
+		case "conns":
+			g.Conns = readCluster(s, KindConn)
+		default:
+			s.Failf("unknown genome field %q", key)
+		}
+	})
+	if s.Err() != nil {
+		return nil
+	}
+	if err := g.Validate(); err != nil {
+		s.Fail(err)
+		return nil
+	}
+	g.BumpVersion()
+	return g
+}
+
+// clusterScratch recycles the buffers readCluster grows.
+var clusterScratch = sync.Pool{New: func() any { return new([]Gene) }}
+
+// readCluster decodes a node (kind KindNode) or connection gene array,
+// or null. Genes arriving in cluster order, as AppendJSON writes them,
+// are appended; others are inserted by key, and a repeated key replaces
+// the earlier gene, as PutNode/PutConn do. The genes collect in a
+// pooled scratch buffer and are copied out at their exact size:
+// decoding leaves no growth garbage and no slack capacity behind.
+func readCluster(s *jsonwire.Scanner, kind Kind) []Gene {
+	if s.Null() {
+		return nil
+	}
+	read := readConn
+	if kind == KindNode {
+		read = readNode
+	}
+	scratch := clusterScratch.Get().(*[]Gene)
+	defer clusterScratch.Put(scratch)
+	genes := (*scratch)[:0]
+	s.Array(func() {
+		g := read(s)
+		k := g.Key()
+		if l := len(genes); l == 0 || genes[l-1].Key().Less(k) {
+			genes = append(genes, g)
+			return
+		}
+		i := sort.Search(len(genes), func(i int) bool { return !genes[i].Key().Less(k) })
+		if genes[i].Key() == k {
+			genes[i] = g
+		} else {
+			genes = slices.Insert(genes, i, g)
+		}
+	})
+	*scratch = genes
+	if len(genes) == 0 || s.Err() != nil {
+		return nil
+	}
+	return append([]Gene(nil), genes...)
+}
+
+// readNode decodes one node gene object.
+func readNode(s *jsonwire.Scanner) Gene {
+	n := Gene{Kind: KindNode, Type: undefined, Activation: undefined, Aggregation: undefined}
+	s.Object(func(key []byte) {
+		switch string(key) {
+		case "id":
+			n.NodeID = int32(s.Int(32))
+		case "type":
+			n.Type = nodeTypeByName(s.Str())
+		case "bias":
+			n.Bias = s.Float()
+		case "response":
+			n.Response = s.Float()
+		case "activation":
+			n.Activation = activationByName(s.Str())
+		case "aggregation":
+			n.Aggregation = aggregationByName(s.Str())
+		default:
+			s.Failf("unknown node field %q", key)
+		}
+	})
+	switch {
+	case s.Err() != nil:
+	case n.Type == undefined:
+		s.Failf("node %d: missing or unknown type", n.NodeID)
+	case n.Activation == undefined:
+		s.Failf("node %d: missing or unknown activation", n.NodeID)
+	case n.Aggregation == undefined:
+		s.Failf("node %d: missing or unknown aggregation", n.NodeID)
+	}
+	return n
+}
+
+// readConn decodes one connection gene object.
+func readConn(s *jsonwire.Scanner) Gene {
+	c := Gene{Kind: KindConn}
+	s.Object(func(key []byte) {
+		switch string(key) {
+		case "src":
+			c.Src = int32(s.Int(32))
+		case "dst":
+			c.Dst = int32(s.Int(32))
+		case "weight":
+			c.Weight = s.Float()
+		case "enabled":
+			c.Enabled = s.Bool()
+		default:
+			s.Failf("unknown conn field %q", key)
+		}
+	})
+	return c
 }
 
 // MarshalJSON implements json.Marshaler.
-func (g *Genome) MarshalJSON() ([]byte, error) {
-	jg := jsonGenome{ID: g.ID, Fitness: g.Fitness}
-	for _, n := range g.Nodes {
-		jg.Nodes = append(jg.Nodes, jsonNode{
-			ID: n.NodeID, Type: nodeTypeNames[n.Type],
-			Bias: n.Bias, Response: n.Response,
-			Activation: n.Activation.String(), Aggregation: n.Aggregation.String(),
-		})
-	}
-	for _, c := range g.Conns {
-		jg.Conns = append(jg.Conns, jsonConn{
-			Src: c.Src, Dst: c.Dst, Weight: c.Weight, Enabled: c.Enabled,
-		})
-	}
-	return json.Marshal(jg)
-}
+func (g *Genome) MarshalJSON() ([]byte, error) { return g.AppendJSON(nil) }
 
 // UnmarshalJSON implements json.Unmarshaler and validates the result.
 func (g *Genome) UnmarshalJSON(data []byte) error {
-	var jg jsonGenome
-	if err := json.Unmarshal(data, &jg); err != nil {
+	s := jsonwire.New(data)
+	out := ReadJSON(s)
+	s.End()
+	if err := s.Err(); err != nil {
 		return fmt.Errorf("gene: %w", err)
 	}
-	out := Genome{ID: jg.ID, Fitness: jg.Fitness}
-	for _, n := range jg.Nodes {
-		t, err := nodeTypeFromName(n.Type)
-		if err != nil {
-			return err
-		}
-		act, err := activationFromName(n.Activation)
-		if err != nil {
-			return err
-		}
-		agg, err := aggregationFromName(n.Aggregation)
-		if err != nil {
-			return err
-		}
-		out.PutNode(Gene{
-			Kind: KindNode, NodeID: n.ID, Type: t,
-			Bias: n.Bias, Response: n.Response, Activation: act, Aggregation: agg,
-		})
-	}
-	for _, c := range jg.Conns {
-		out.PutConn(Gene{
-			Kind: KindConn, Src: c.Src, Dst: c.Dst, Weight: c.Weight, Enabled: c.Enabled,
-		})
-	}
-	if err := out.Validate(); err != nil {
-		return err
-	}
-	*g = out
+	*g = *out
 	return nil
 }
 
@@ -137,19 +293,4 @@ func Load(r io.Reader) (*Genome, error) {
 		return nil, err
 	}
 	return g, nil
-}
-
-// SavePopulation writes a genome slice as one JSON document.
-func SavePopulation(w io.Writer, genomes []*Genome) error {
-	enc := json.NewEncoder(w)
-	return enc.Encode(genomes)
-}
-
-// LoadPopulation reads a genome slice.
-func LoadPopulation(r io.Reader) ([]*Genome, error) {
-	var out []*Genome
-	if err := json.NewDecoder(r).Decode(&out); err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -158,9 +158,11 @@ func TestRestoreContinuesBitIdentically(t *testing.T) {
 
 func TestRestoreRejectsGarbage(t *testing.T) {
 	cases := map[string]string{
-		"not json":   "{",
-		"empty":      `{"config":{"PopulationSize":10,"NumInputs":2,"NumOutputs":1,"InitialConnection":"full","CompatThreshold":3,"SurvivalThreshold":0.2,"TournamentSize":3},"genomes":[]}`,
-		"bad config": `{"config":{"PopulationSize":0},"genomes":[{"id":1,"nodes":[],"conns":[]}]}`,
+		"not json":    "{",
+		"empty":       `{"config":{"PopulationSize":10,"NumInputs":2,"NumOutputs":1,"InitialConnection":"full","CompatThreshold":3,"SurvivalThreshold":0.2,"TournamentSize":3},"genomes":[]}`,
+		"bad config":  `{"config":{"PopulationSize":0},"genomes":[{"id":1,"nodes":[],"conns":[]}]}`,
+		"null genome": `{"config":{"PopulationSize":1,"NumInputs":2,"NumOutputs":1,"InitialConnection":"full","CompatThreshold":3,"SurvivalThreshold":0.2,"TournamentSize":3},"genomes":[null]}`,
+		"trailing":    `{"config":{"PopulationSize":1,"NumInputs":2,"NumOutputs":1,"InitialConnection":"full","CompatThreshold":3,"SurvivalThreshold":0.2,"TournamentSize":3},"genomes":[{"id":1,"nodes":null,"conns":null}]} x`,
 	}
 	for name, doc := range cases {
 		if _, err := Restore(strings.NewReader(doc), 1); err == nil {

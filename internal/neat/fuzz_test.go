@@ -5,9 +5,11 @@ import (
 	"testing"
 )
 
-// FuzzRestore hardens checkpoint decoding against malformed input:
-// Restore must never panic, and anything it accepts must save again
-// and restore from that save.
+// FuzzRestore hardens checkpoint decoding against malformed input and
+// pins it to the reflective reference envelope (refRestore): Restore
+// must never panic, must accept nothing the reference rejects, must
+// rebuild exactly the reference's state from what it accepts, and must
+// accept every document the reference accepts once Save re-encodes it.
 func FuzzRestore(f *testing.F) {
 	// Seed corpus: a real checkpoint from a small evolved population,
 	// plus structured garbage near the rejection boundaries.
@@ -37,17 +39,29 @@ func FuzzRestore(f *testing.F) {
 		`"InitialConnection":"full","CompatThreshold":3,"SurvivalThreshold":0.2,` +
 		`"TournamentSize":3},"genomes":[{"id":1,"nodes":[],"conns":[]}],` +
 		`"rng":{"x":0,"y":0,"z":0,"w":0,"v":0,"d":0}}`))
+	f.Add([]byte(`{"config":{"PopulationSize":1,"NumInputs":2,"NumOutputs":1,` +
+		`"InitialConnection":"full","CompatThreshold":3,"SurvivalThreshold":0.2,` +
+		`"TournamentSize":3},"genomes":[null]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
+		ref, refErr := refRestore(bytes.NewReader(data), 7)
 		q, err := Restore(bytes.NewReader(data), 7)
-		if err != nil {
-			return // rejection is fine; panics are not
+		if err == nil {
+			if refErr != nil {
+				t.Fatalf("accepted a checkpoint the reference rejects (%v)", refErr)
+			}
+			assertSameState(t, q, ref)
+		}
+		if refErr != nil {
+			return
 		}
 		var out bytes.Buffer
-		if err := q.Save(&out); err != nil {
+		if err := ref.Save(&out); err != nil {
 			t.Fatalf("accepted checkpoint failed to save: %v", err)
 		}
-		if _, err := Restore(bytes.NewReader(out.Bytes()), 8); err != nil {
+		back, err := Restore(bytes.NewReader(out.Bytes()), 8)
+		if err != nil {
 			t.Fatalf("re-saved checkpoint failed to restore: %v", err)
 		}
+		assertSameState(t, back, ref)
 	})
 }

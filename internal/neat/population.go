@@ -89,27 +89,36 @@ func NewPopulation(cfg Config, seed uint64) (*Population, error) {
 	return p, nil
 }
 
-// seedGenome constructs one minimal-topology genome.
+// seedGenome constructs one minimal-topology genome. Input ids precede
+// output ids and both ascend, so the genes are appended directly in
+// the sorted cluster order PutNode/PutConn would build, at their exact
+// size: a RAM-scale seed population is hundreds of thousands of
+// connection genes.
 func (p *Population) seedGenome() *gene.Genome {
 	cfg := &p.Config
 	g := gene.NewGenome(p.nextGenomeID)
 	p.nextGenomeID++
-	for _, id := range cfg.InputIDs() {
-		g.PutNode(gene.NewNode(id, gene.Input))
+	ins, outs := cfg.InputIDs(), cfg.OutputIDs()
+	g.Nodes = make([]gene.Gene, 0, len(ins)+len(outs))
+	for _, id := range ins {
+		g.Nodes = append(g.Nodes, gene.NewNode(id, gene.Input))
 	}
-	for _, id := range cfg.OutputIDs() {
-		n := gene.NewNode(id, gene.Output)
-		g.PutNode(n)
+	for _, id := range outs {
+		g.Nodes = append(g.Nodes, gene.NewNode(id, gene.Output))
 	}
 	if cfg.InitialConnection == "full" {
-		for _, in := range cfg.InputIDs() {
-			for _, out := range cfg.OutputIDs() {
+		g.Conns = make([]gene.Gene, 0, len(ins)*len(outs))
+		for _, in := range ins {
+			for _, out := range outs {
 				// Weights start at zero per the paper; the first
 				// perturbation round diversifies them.
-				g.PutConn(gene.NewConn(in, out, 0))
+				g.Conns = append(g.Conns, gene.NewConn(in, out, 0))
 			}
 		}
 	}
+	// Stamp now: Version's lazy first stamp is not safe once evaluation
+	// workers share the genome.
+	g.BumpVersion()
 	return g
 }
 

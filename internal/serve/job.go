@@ -121,6 +121,16 @@ func (sp Spec) validate() error {
 	if sp.Generations < 1 {
 		return fmt.Errorf("generations %d: need at least 1", sp.Generations)
 	}
+	// The key string names island fields only for island runs, so a
+	// stray or negative island field would make a run whose key does
+	// not parse back to it (and whose checkpoint recovery re-admits a
+	// different run).
+	if sp.Islands < 0 {
+		return fmt.Errorf("islands %d: must not be negative", sp.Islands)
+	}
+	if !sp.IsIsland() && sp.MigrationEvery != 0 {
+		return fmt.Errorf("migration_every %d: needs islands", sp.MigrationEvery)
+	}
 	if sp.IsIsland() && sp.IsPareto() {
 		return fmt.Errorf("islands and objectives are mutually exclusive")
 	}

@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/gene"
@@ -201,64 +202,63 @@ func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	return n, bw.Flush()
 }
 
+// maxLine bounds one trace line. WriteTo's longest record, a C line, is
+// a few hundred bytes; the scan buffer grows toward the bound only as
+// lines demand.
+const maxLine = 1 << 20
+
 // Parse reads a trace previously produced by WriteTo.
 func Parse(r io.Reader) (*Trace, error) {
 	t := &Trace{}
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	sc.Buffer(nil, maxLine)
+	var v [3 + neat.NumOps]int64
 	line := 0
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
+		fields := strings.Fields(sc.Text())
+		if len(fields) == 0 {
 			continue
 		}
-		fields := strings.Fields(text)
+		want := 3
 		switch fields[0] {
 		case "G":
-			var idx, popGenes int
-			if _, err := fmt.Sscanf(text, "G %d %d", &idx, &popGenes); err != nil {
+		case "P", "C":
+			if len(t.Generations) == 0 {
+				return nil, fmt.Errorf("trace: line %d: %s before G", line, fields[0])
+			}
+			if fields[0] == "C" {
+				want = 4 + neat.NumOps
+			}
+		default:
+			return nil, fmt.Errorf("trace: line %d: unknown record %q", line, fields[0])
+		}
+		if len(fields) != want {
+			return nil, fmt.Errorf("trace: line %d: want %d fields, have %d", line, want, len(fields))
+		}
+		for i, f := range fields[1:] {
+			n, err := strconv.ParseInt(f, 10, 64)
+			if err != nil {
 				return nil, fmt.Errorf("trace: line %d: %w", line, err)
 			}
+			v[i] = n
+		}
+		switch fields[0] {
+		case "G":
 			t.Generations = append(t.Generations, Generation{
-				Index:           idx,
-				PopulationGenes: popGenes,
+				Index:           int(v[0]),
+				PopulationGenes: int(v[1]),
 				ParentSizes:     map[int64]int{},
 				childIdx:        map[int64]int{},
 			})
 		case "P":
-			if len(t.Generations) == 0 {
-				return nil, fmt.Errorf("trace: line %d: P before G", line)
-			}
-			var id int64
-			var sz int
-			if _, err := fmt.Sscanf(text, "P %d %d", &id, &sz); err != nil {
-				return nil, fmt.Errorf("trace: line %d: %w", line, err)
-			}
-			t.Generations[len(t.Generations)-1].ParentSizes[id] = sz
+			t.Generations[len(t.Generations)-1].ParentSizes[v[0]] = int(v[1])
 		case "C":
-			if len(t.Generations) == 0 {
-				return nil, fmt.Errorf("trace: line %d: C before G", line)
-			}
-			if len(fields) != 4+neat.NumOps {
-				return nil, fmt.Errorf("trace: line %d: want %d fields, have %d",
-					line, 4+neat.NumOps, len(fields))
-			}
-			var c ChildRecord
-			if _, err := fmt.Sscanf(strings.Join(fields[1:4], " "), "%d %d %d",
-				&c.Child, &c.Parent1, &c.Parent2); err != nil {
-				return nil, fmt.Errorf("trace: line %d: %w", line, err)
-			}
-			for i := 0; i < neat.NumOps; i++ {
-				if _, err := fmt.Sscanf(fields[4+i], "%d", &c.Ops[i]); err != nil {
-					return nil, fmt.Errorf("trace: line %d: %w", line, err)
-				}
-			}
+			c := ChildRecord{Child: v[0], Parent1: v[1], Parent2: v[2]}
+			copy(c.Ops[:], v[3:])
 			g := &t.Generations[len(t.Generations)-1]
 			g.childIdx[c.Child] = len(g.Children)
 			g.Children = append(g.Children, c)
-		default:
-			return nil, fmt.Errorf("trace: line %d: unknown record %q", line, fields[0])
 		}
 	}
 	return t, sc.Err()

@@ -6,7 +6,9 @@
 # their Batch/Scalar variants, so the tensorized engine and the scalar
 # reference are recorded side by side), the reproduction-kernel benches
 # (cold speciation pass, full epoch, single compatibility distance at
-# RAM scale), the replay-layer benches (one SoC generation, one EvE
+# RAM scale), the checkpoint codec benches (save and restore of an
+# alien-ram-scale population, the store's RAM artifact), the
+# replay-layer benches (one SoC generation, one EvE
 # trace replay), the serving-layer throughput bench (jobs/sec through a
 # real genesysd over loopback HTTP, serial vs parallel worker pool),
 # the persistent-store hit bench (bytes/sec through a verified
@@ -42,6 +44,10 @@ go test -run=NONE -bench='BenchmarkEvaluateGeneration' \
 echo "== reproduction-kernel benches (speciation, full epoch, distance)"
 go test -run=NONE -bench='BenchmarkSpeciate$|BenchmarkEpoch$|BenchmarkCompatDistanceRAMScale' \
     -benchmem -count=3 -benchtime=3x ./internal/neat/ | tee -a "$tmp"
+
+echo "== checkpoint codec benches (alien-ram-scale population save/restore)"
+go test -run=NONE -bench='BenchmarkCheckpointSave$|BenchmarkCheckpointRestore$' \
+    -benchmem -count=3 -benchtime=20x ./internal/neat/ | tee -a "$tmp"
 
 echo "== replay benches"
 go test -run=NONE -bench='BenchmarkSoCRunGeneration' \

@@ -18,8 +18,9 @@
 # from disk, a one-iteration smoke over the kernel and replay
 # trajectory benchmarks (so a change that breaks the bench harness
 # fails here, not in scripts/bench.sh), and a short fuzz smoke over the
-# untrusted-input decoders (trace parser, NEAT checkpoint, store
-# manifest).
+# untrusted-input decoders (trace parser, NEAT checkpoint and genome
+# codec, each differential against its retained reflective reference,
+# the POST /jobs spec decoder, store manifest).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -227,7 +228,7 @@ echo "== bench smoke (kernel + batch + replay trajectory benches, 1 iteration)"
 # BenchmarkEvaluateGenerationBatch/Scalar) smoke here too.
 go test -run=NONE -bench='BenchmarkNetworkCompile|BenchmarkNetworkFeed' \
     -benchtime=1x ./internal/network/
-go test -run=NONE -bench='BenchmarkSpeciate$|BenchmarkEpoch$' \
+go test -run=NONE -bench='BenchmarkSpeciate$|BenchmarkEpoch$|BenchmarkCheckpoint' \
     -benchtime=1x ./internal/neat/
 go test -run=NONE -bench='BenchmarkEvaluateGeneration' \
     -benchtime=1x ./internal/evolve/
@@ -244,12 +245,14 @@ go test -run=NONE -bench='BenchmarkClusterThroughput' \
 go test -run=NONE -bench='BenchmarkNonDominatedSort' \
     -benchtime=1x ./internal/moea/
 
-echo "== fuzz smoke (trace, neat checkpoint, store manifest)"
+echo "== fuzz smoke (trace, neat checkpoint, genome codec, job spec, store manifest)"
 # -fuzzminimizetime is bounded in execs: the default 60s-per-input
 # minimization budget would eat the whole smoke window on the ~5 KB
 # checkpoint corpus entries.
 go test -run=NONE -fuzz=FuzzParse -fuzztime=5s -fuzzminimizetime=50x ./internal/trace/
 go test -run=NONE -fuzz=FuzzRestore -fuzztime=5s -fuzzminimizetime=50x ./internal/neat/
+go test -run=NONE -fuzz=FuzzGenomeCodec -fuzztime=5s -fuzzminimizetime=50x ./internal/gene/
+go test -run=NONE -fuzz=FuzzSpec -fuzztime=5s -fuzzminimizetime=50x ./internal/serve/
 go test -run=NONE -fuzz=FuzzManifest -fuzztime=5s -fuzzminimizetime=50x ./internal/store/
 
 echo "ok"
