@@ -27,9 +27,9 @@ import (
 
 // islandOpenReq opens a session evolving a shard of a run's islands.
 type islandOpenReq struct {
-	Session string            `json:"session"`
-	Spec    evolve.IslandSpec `json:"spec"`
-	Islands []int             `json:"islands"`
+	Session string         `json:"session"`
+	Spec    evolve.RunSpec `json:"spec"`
+	Islands []int          `json:"islands"`
 }
 
 // islandStepReq advances a session to the target generation. Plan,
@@ -114,6 +114,10 @@ func (w *WorkerAPI) handleStep(rw http.ResponseWriter, r *http.Request) {
 	g, ok := w.lookup(req.Session)
 	if !ok {
 		httpError(rw, http.StatusNotFound, "island: unknown session "+req.Session)
+		return
+	}
+	if req.Target < 1 || req.Target > g.Spec.Generations {
+		httpError(rw, http.StatusBadRequest, fmt.Sprintf("island: target %d outside [1,%d]", req.Target, g.Spec.Generations))
 		return
 	}
 	if req.Plan != nil {
@@ -217,7 +221,7 @@ func (c *IslandClient) post(ctx context.Context, path string, req, reply any) er
 }
 
 // Open starts a session evolving islands of spec on the worker.
-func (c *IslandClient) Open(ctx context.Context, session string, spec evolve.IslandSpec, islands []int) error {
+func (c *IslandClient) Open(ctx context.Context, session string, spec evolve.RunSpec, islands []int) error {
 	return c.post(ctx, "/island/open", islandOpenReq{Session: session, Spec: spec, Islands: islands}, nil)
 }
 
@@ -276,19 +280,18 @@ func PartitionIslands(islands, shards int) [][]int {
 // RunDistributed executes one island-model run across a worker fleet:
 // islands are partitioned over the workers (sorted by id, so the
 // sharding is a pure function of the member set), each worker evolves
-// its shard through an island session, and the coordinator drives the
-// segment loop — gathering champions at every migration barrier,
-// computing the ring migration plan, and shipping each worker its
-// migrants with the next step. The loop is the same as
-// evolve.RunIslands; only where islands execute differs, so results
-// are byte-identical to the reference.
+// its shard through an island session, and evolve.SegmentLoop drives
+// the barriers with a step that fans out to every shard — shipping
+// each worker the previous barrier's migrants and gathering its
+// champions. Only where islands execute differs from evolve.RunIslands,
+// so results are byte-identical to the reference.
 //
 // Any RPC failure aborts the whole run (sessions are closed
 // best-effort) and surfaces the error; the caller owns retry — an
 // island run has no cross-barrier checkpoint, so a worker death means
 // restarting the run on the surviving fleet (still deterministic:
 // the result does not depend on the fleet shape).
-func RunDistributed(ctx context.Context, spec evolve.IslandSpec, session string, workers []Member, httpc *http.Client) (*evolve.IslandRun, error) {
+func RunDistributed(ctx context.Context, spec evolve.RunSpec, session string, workers []Member, httpc *http.Client) (*evolve.IslandRun, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -337,33 +340,22 @@ func RunDistributed(ctx context.Context, spec evolve.IslandSpec, session string,
 		return nil
 	}
 
-	var plan map[int]evolve.Champion
-	for target := min(spec.MigrationEvery, spec.Generations); ; {
+	err := evolve.SegmentLoop(spec, func(target int, plan map[int]evolve.Champion) ([]evolve.Champion, bool, error) {
 		var mu sync.Mutex
 		var champs []evolve.Champion
 		solved := false
 		err := fanOut(func(k int, c *IslandClient) error {
 			cs, s, err := c.Step(ctx, session, target, plan)
-			if err != nil {
-				return err
-			}
 			mu.Lock()
 			champs = append(champs, cs...)
 			solved = solved || s
 			mu.Unlock()
-			return nil
+			return err
 		})
-		if err != nil {
-			return nil, err
-		}
-		if solved || target >= spec.Generations {
-			break
-		}
-		plan, err = evolve.MigrationPlan(champs, spec.Islands)
-		if err != nil {
-			return nil, err
-		}
-		target = min(target+spec.MigrationEvery, spec.Generations)
+		return champs, solved, err
+	})
+	if err != nil {
+		return nil, err
 	}
 
 	results := make([][]evolve.IslandResult, len(clients))

@@ -99,13 +99,7 @@ func TestConcurrentCheckpointResumeBitIdentical(t *testing.T) {
 
 	// Resume from the mid-run snapshot: the continuation must be the
 	// reference history's tail, stat for stat.
-	c, err := NewRunner("mountaincar", smallConfig(), seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RestoreCheckpoint(copied); err != nil {
-		t.Fatal(err)
-	}
+	c := resumeFrom(t, "mountaincar", copied, seed)
 	cut := c.Pop.Generation
 	if cut < 1 || cut >= budget {
 		t.Fatalf("mid-run checkpoint at generation %d, want within (0, %d)", cut, budget)

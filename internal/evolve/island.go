@@ -4,11 +4,11 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/gene"
 	"repro/internal/hw/hwsim"
-	"repro/internal/neat"
 )
 
 // This file is the island model: a population split into independent
@@ -16,10 +16,10 @@ import (
 // champions on a fixed migration schedule. It is the population-level
 // parallelism the paper's EvE PE array performs inside one chip, lifted
 // to the level where islands can live on different worker processes —
-// the whole run is a pure function of (workload, population,
-// generations, islands, migrationEvery, seed), so a single-process
-// reference and a fleet spreading islands across workers produce
-// byte-identical results. Two design rules buy that property:
+// the whole run is a pure function of its RunSpec identity, so a
+// single-process reference and a fleet spreading islands across
+// workers produce byte-identical results. Two design rules buy that
+// property:
 //
 //  1. Each island is an ordinary Runner seeded by IslandSeed(seed, i).
 //     Islands never share PRNG state, genome-ID streams, or caches, so
@@ -28,54 +28,6 @@ import (
 //     is a json.RawMessage). The single-process reference round-trips
 //     through the same encoding the worker RPC uses; Go's float64 JSON
 //     round-trip is exact, so both paths inject identical genomes.
-
-// IslandSpec describes one island-model run. The full tuple is the
-// identity: two specs differing only in Parallelism/BatchWidth (the
-// execution-shape knobs) produce byte-identical results.
-type IslandSpec struct {
-	Workload string
-	// Population is the total genome count, split evenly across
-	// islands; it must be divisible by Islands.
-	Population  int
-	Generations int
-	// Islands is the sub-population count (≥ 2).
-	Islands int
-	// MigrationEvery is the migration period in generations: islands
-	// evolve independently for MigrationEvery generations, then each
-	// island imports its ring-predecessor's champion.
-	MigrationEvery int
-	Seed           uint64
-
-	// Parallelism / BatchWidth shape each island runner's evaluation
-	// (see Runner); they do not affect results.
-	Parallelism int
-	BatchWidth  int
-
-	// Phases, when set, receives every island runner's per-phase
-	// wall-clock counters (see Runner.Phases). Metrics only — never
-	// serialized, never part of the run's identity or results.
-	Phases *hwsim.Counters `json:"-"`
-}
-
-// Validate reports spec errors before any island is built.
-func (s IslandSpec) Validate() error {
-	switch {
-	case s.Islands < 2:
-		return fmt.Errorf("island: need at least 2 islands, have %d", s.Islands)
-	case s.Population < s.Islands:
-		return fmt.Errorf("island: population %d smaller than island count %d", s.Population, s.Islands)
-	case s.Population%s.Islands != 0:
-		return fmt.Errorf("island: population %d not divisible by %d islands", s.Population, s.Islands)
-	case s.Generations < 1:
-		return fmt.Errorf("island: generations %d must be positive", s.Generations)
-	case s.MigrationEvery < 1:
-		return fmt.Errorf("island: migrationEvery %d must be positive", s.MigrationEvery)
-	}
-	if _, err := WorkloadByName(s.Workload); err != nil {
-		return err
-	}
-	return nil
-}
 
 // IslandSeed derives island i's runner seed from the run's base seed —
 // the same splitmix64 finalizer as RunSeed but salted onto a different
@@ -165,7 +117,7 @@ func (run *IslandRun) Evolved() int {
 // (any order; sorted by island here). Both the single-process reference
 // and the coordinator gathering results from workers assemble through
 // this one function.
-func AssembleRun(spec IslandSpec, results []IslandResult) *IslandRun {
+func AssembleRun(spec RunSpec, results []IslandResult) *IslandRun {
 	sort.Slice(results, func(i, j int) bool { return results[i].Island < results[j].Island })
 	run := &IslandRun{
 		Workload:       spec.Workload,
@@ -192,14 +144,14 @@ func AssembleRun(spec IslandSpec, results []IslandResult) *IslandRun {
 // order, so a group's work is deterministic regardless of how islands
 // were sharded.
 type IslandGroup struct {
-	Spec    IslandSpec
+	Spec    RunSpec
 	Islands []int     // ascending global island indices
 	Runners []*Runner // parallel to Islands
 }
 
 // NewIslandGroup validates the spec and builds one Runner per listed
 // island, each seeded with IslandSeed and tracking its champion.
-func NewIslandGroup(spec IslandSpec, islands []int) (*IslandGroup, error) {
+func NewIslandGroup(spec RunSpec, islands []int) (*IslandGroup, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
@@ -218,16 +170,10 @@ func NewIslandGroup(spec IslandSpec, islands []int) (*IslandGroup, error) {
 			return nil, fmt.Errorf("island: duplicate index %d", i)
 		}
 		seen[i] = true
-		cfg := neat.DefaultConfig(1, 1)
-		cfg.PopulationSize = spec.Population / spec.Islands
-		r, err := NewRunner(spec.Workload, cfg, IslandSeed(spec.Seed, i))
+		r, err := spec.runner(IslandSeed(spec.Seed, i), nil)
 		if err != nil {
 			return nil, err
 		}
-		r.Parallelism = spec.Parallelism
-		r.BatchWidth = spec.BatchWidth
-		r.Phases = spec.Phases
-		r.TrackChampion = true
 		g.Runners = append(g.Runners, r)
 	}
 	return g, nil
@@ -259,18 +205,28 @@ func (g *IslandGroup) Step(ctx context.Context, target int) (champs []Champion, 
 
 // Inject applies a migration plan to the group's islands: each local
 // island receives the plan's champion addressed to it, decoded from
-// wire form.
+// wire form. A plan that misses an island, or carries a migrant that
+// does not decode or does not fit the workload's inputs and outputs,
+// is rejected before any island changes.
 func (g *IslandGroup) Inject(plan map[int]Champion) error {
+	migrants := make([]*gene.Genome, len(g.Runners))
 	for k, r := range g.Runners {
 		c, ok := plan[g.Islands[k]]
 		if !ok {
 			return fmt.Errorf("island %d: no migrant in plan", g.Islands[k])
 		}
-		var migrant gene.Genome
-		if err := json.Unmarshal(c.Genome, &migrant); err != nil {
+		m := new(gene.Genome)
+		if err := json.Unmarshal(c.Genome, m); err != nil {
 			return fmt.Errorf("island %d: decode migrant: %w", g.Islands[k], err)
 		}
-		r.Pop.ReceiveMigrant(&migrant)
+		cfg := &r.Pop.Config
+		if !slices.Equal(m.InputIDs(), cfg.InputIDs()) || !slices.Equal(m.OutputIDs(), cfg.OutputIDs()) {
+			return fmt.Errorf("island %d: migrant does not fit the workload's inputs and outputs", g.Islands[k])
+		}
+		migrants[k] = m
+	}
+	for k, r := range g.Runners {
+		r.Pop.ReceiveMigrant(migrants[k])
 	}
 	return nil
 }
@@ -300,12 +256,10 @@ func (g *IslandGroup) Results() []IslandResult {
 }
 
 // RunIslands is the single-process island-model reference: all islands
-// in one group, segment loop with ring migration at every barrier,
-// stopping at the first barrier where any island solved (champions are
-// not injected after the final segment). The distributed coordinator
-// replicates exactly this loop over worker RPCs; the differential test
-// pins the two byte-identical.
-func RunIslands(ctx context.Context, spec IslandSpec) (*IslandRun, error) {
+// in one group, driven by SegmentLoop. The distributed coordinator
+// (cluster.RunDistributed) drives the same loop over worker RPCs; the
+// differential test pins the two byte-identical.
+func RunIslands(ctx context.Context, spec RunSpec) (*IslandRun, error) {
 	all := make([]int, spec.Islands)
 	for i := range all {
 		all[i] = i
@@ -314,24 +268,40 @@ func RunIslands(ctx context.Context, spec IslandSpec) (*IslandRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	for target := min(spec.MigrationEvery, spec.Generations); ; {
-		champs, solved, err := g.Step(ctx, target)
-		if err != nil {
-			return nil, err
+	err = SegmentLoop(spec, func(target int, plan map[int]Champion) ([]Champion, bool, error) {
+		if plan != nil {
+			if err := g.Inject(plan); err != nil {
+				return nil, false, err
+			}
 		}
-		if solved || target >= spec.Generations {
-			break
-		}
-		plan, err := MigrationPlan(champs, spec.Islands)
-		if err != nil {
-			return nil, err
-		}
-		if err := g.Inject(plan); err != nil {
-			return nil, err
-		}
-		target = min(target+spec.MigrationEvery, spec.Generations)
+		return g.Step(ctx, target)
+	})
+	if err != nil {
+		return nil, err
 	}
 	return AssembleRun(spec, g.Results()), nil
+}
+
+// SegmentLoop is the island run's barrier loop, the one copy of it:
+// step advances every island to the next barrier (first injecting
+// plan, the previous barrier's ring migration; nil at the first
+// barrier) and returns all islands' champions. The loop stops after
+// the final segment or at the first barrier where any island solved —
+// champions are not migrated after the last segment.
+func SegmentLoop(spec RunSpec, step func(target int, plan map[int]Champion) ([]Champion, bool, error)) error {
+	if spec.Islands < 1 || spec.MigrationEvery < 1 {
+		return fmt.Errorf("island: %d islands migrating every %d generations is not an island run", spec.Islands, spec.MigrationEvery)
+	}
+	var plan map[int]Champion
+	for target := min(spec.MigrationEvery, spec.Generations); ; target = min(target+spec.MigrationEvery, spec.Generations) {
+		champs, solved, err := step(target, plan)
+		if err != nil || solved || target >= spec.Generations {
+			return err
+		}
+		if plan, err = MigrationPlan(champs, spec.Islands); err != nil {
+			return err
+		}
+	}
 }
 
 // ReplayIslandRecords streams the run's per-generation records in the

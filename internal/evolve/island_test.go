@@ -9,8 +9,8 @@ import (
 	"repro/internal/neat"
 )
 
-func islandSpec() IslandSpec {
-	return IslandSpec{
+func islandSpec() RunSpec {
+	return RunSpec{
 		Workload:       "cartpole",
 		Population:     32,
 		Generations:    8,
@@ -20,16 +20,19 @@ func islandSpec() IslandSpec {
 	}
 }
 
+// TestIslandSpecValidate: the island rules of RunSpec.Validate — at
+// least two islands, a migration interval, a population that splits
+// evenly, and a known workload.
 func TestIslandSpecValidate(t *testing.T) {
 	good := islandSpec()
 	if err := good.Validate(); err != nil {
 		t.Fatalf("valid spec rejected: %v", err)
 	}
-	bad := []IslandSpec{
-		func() IslandSpec { s := islandSpec(); s.Islands = 1; return s }(),
-		func() IslandSpec { s := islandSpec(); s.MigrationEvery = 0; return s }(),
-		func() IslandSpec { s := islandSpec(); s.Population = 33; return s }(), // not divisible
-		func() IslandSpec { s := islandSpec(); s.Workload = "no-such"; return s }(),
+	bad := []RunSpec{
+		func() RunSpec { s := islandSpec(); s.Islands = 1; return s }(),
+		func() RunSpec { s := islandSpec(); s.MigrationEvery = 0; return s }(),
+		func() RunSpec { s := islandSpec(); s.Population = 33; return s }(), // not divisible
+		func() RunSpec { s := islandSpec(); s.Workload = "no-such"; return s }(),
 	}
 	for i, s := range bad {
 		if err := s.Validate(); err == nil {
@@ -144,9 +147,9 @@ func TestMigrationPlanRing(t *testing.T) {
 	}
 }
 
-// TestIslandGroupStepInjectRoundTrip drives two half-groups manually
-// through the same segment loop RunIslands uses and checks the result
-// matches the reference — the in-process form of the distributed
+// TestIslandGroupSplitMatchesReference drives two half-groups through
+// SegmentLoop, the way the distributed coordinator does, and checks the
+// result matches the reference — the in-process form of the
 // coordinator's contract.
 func TestIslandGroupSplitMatchesReference(t *testing.T) {
 	spec := islandSpec()
@@ -164,29 +167,25 @@ func TestIslandGroupSplitMatchesReference(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	for target := min(spec.MigrationEvery, spec.Generations); ; {
-		ca, sa, err := ga.Step(ctx, target)
-		if err != nil {
-			t.Fatal(err)
+	err = SegmentLoop(spec, func(target int, plan map[int]Champion) ([]Champion, bool, error) {
+		var champs []Champion
+		solved := false
+		for _, g := range []*IslandGroup{ga, gb} {
+			if plan != nil {
+				if err := g.Inject(plan); err != nil {
+					return nil, false, err
+				}
+			}
+			cs, s, err := g.Step(ctx, target)
+			if err != nil {
+				return nil, false, err
+			}
+			champs, solved = append(champs, cs...), solved || s
 		}
-		cb, sb, err := gb.Step(ctx, target)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sa || sb || target >= spec.Generations {
-			break
-		}
-		plan, err := MigrationPlan(append(ca, cb...), spec.Islands)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ga.Inject(plan); err != nil {
-			t.Fatal(err)
-		}
-		if err := gb.Inject(plan); err != nil {
-			t.Fatal(err)
-		}
-		target = min(target+spec.MigrationEvery, spec.Generations)
+		return champs, solved, nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	got := AssembleRun(spec, append(ga.Results(), gb.Results()...))
 
@@ -228,7 +227,7 @@ func TestReplayIslandRecordsOrder(t *testing.T) {
 
 // configFor builds the panmictic comparison run's config: the whole
 // population in one runner.
-func configFor(spec IslandSpec) neat.Config {
+func configFor(spec RunSpec) neat.Config {
 	cfg := neat.DefaultConfig(1, 1)
 	cfg.PopulationSize = spec.Population
 	return cfg

@@ -9,7 +9,6 @@ import (
 	"repro/internal/hw/energy"
 	"repro/internal/hw/hwsim"
 	"repro/internal/moea"
-	"repro/internal/neat"
 )
 
 // This file is the Pareto (multi-objective) run mode: instead of
@@ -121,15 +120,15 @@ type ParetoPoint struct {
 // along the multi-objective ranking. Called by Step between stats
 // collection (task fitness) and reproduction.
 func (r *Runner) applyPareto(shape bool) error {
-	objs, err := ResolveObjectives(r.Objectives)
+	objs, err := ResolveObjectives(r.objectives)
 	if err != nil {
 		return err
 	}
 	genomes := r.Pop.Genomes
 	points := make([]moea.Point, len(genomes))
 	for i, g := range genomes {
-		vals := make([]float64, len(r.Objectives))
-		for m, name := range r.Objectives {
+		vals := make([]float64, len(r.objectives))
+		for m, name := range r.objectives {
 			vals[m] = paretoObjectives[name].value(g)
 		}
 		points[i] = moea.Point{ID: g.ID, Values: vals}
@@ -145,8 +144,8 @@ func (r *Runner) applyPareto(shape bool) error {
 		if merr != nil {
 			return fmt.Errorf("pareto: encode front genome %d: %w", genomes[i].ID, merr)
 		}
-		vals := make(map[string]float64, len(r.Objectives))
-		for m, name := range r.Objectives {
+		vals := make(map[string]float64, len(r.objectives))
+		for m, name := range r.objectives {
 			vals[name] = points[i].Values[m]
 		}
 		front = append(front, ParetoPoint{
@@ -172,47 +171,6 @@ func (r *Runner) applyPareto(shape bool) error {
 // order; the slice is owned by the runner and replaced every Step.
 func (r *Runner) Front() []ParetoPoint { return r.front }
 
-// ParetoSpec describes one Pareto-mode run. The identity tuple is
-// (workload, population, generations, seed, objectives — order
-// included); Parallelism/BatchWidth are execution-shape only.
-type ParetoSpec struct {
-	Workload    string
-	Population  int
-	Generations int
-	Seed        uint64
-	// Objectives is the objective vector in identity order; see
-	// ResolveObjectives.
-	Objectives []string
-
-	Parallelism int
-	BatchWidth  int
-	// Phases, when set, receives the runner's per-phase wall-clock
-	// counters (see Runner.Phases) — live metrics only, never part of
-	// the result.
-	Phases *hwsim.Counters
-	// Sink, when set, receives the live per-generation record stream
-	// (task-fitness GenStats, exactly as a scalar run emits them).
-	// Front records are not emitted here; see FrontRecords.
-	Sink hwsim.Sink
-}
-
-// Validate reports spec errors before any population is built.
-func (s ParetoSpec) Validate() error {
-	switch {
-	case s.Population < 2:
-		return fmt.Errorf("pareto: population %d must be at least 2", s.Population)
-	case s.Generations < 1:
-		return fmt.Errorf("pareto: generations %d must be positive", s.Generations)
-	}
-	if _, err := WorkloadByName(s.Workload); err != nil {
-		return err
-	}
-	if _, err := ResolveObjectives(s.Objectives); err != nil {
-		return err
-	}
-	return nil
-}
-
 // ParetoRun is the assembled result of a Pareto-mode run — what the
 // store persists and the differential tests compare byte-for-byte.
 // Front holds the rank-0 points of the final evaluated generation in
@@ -229,32 +187,21 @@ type ParetoRun struct {
 	Front       []ParetoPoint `json:"front"`
 }
 
-// newParetoRunner builds the Runner for a validated spec: an ordinary
-// scalar runner plus the Objectives vector and execution-shape knobs.
-func newParetoRunner(spec ParetoSpec) (*Runner, error) {
-	cfg := neat.DefaultConfig(1, 1)
-	cfg.PopulationSize = spec.Population
-	r, err := NewRunner(spec.Workload, cfg, spec.Seed)
-	if err != nil {
-		return nil, err
-	}
-	r.Objectives = append([]string(nil), spec.Objectives...)
-	r.Parallelism = spec.Parallelism
-	r.BatchWidth = spec.BatchWidth
-	r.Phases = spec.Phases
-	r.Sink = spec.Sink
-	return r, nil
-}
-
 // RunPareto executes one Pareto-mode evolution in-process: an
-// ordinary Runner with Objectives set, run to the generation budget or
-// the task target, returning the history plus the final front. The
-// whole run is a pure function of the spec's identity tuple.
-func RunPareto(ctx context.Context, spec ParetoSpec) (*ParetoRun, error) {
+// ordinary Runner ranking by spec.Objectives, run to the generation
+// budget or the task target, returning the history plus the final
+// front. The whole run is a pure function of the spec's identity.
+// Spec.Sink receives the live task-fitness records exactly as a scalar
+// run emits them; front records are not emitted live (see
+// FrontRecords).
+func RunPareto(ctx context.Context, spec RunSpec) (*ParetoRun, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	r, err := newParetoRunner(spec)
+	if len(spec.Objectives) == 0 {
+		return nil, fmt.Errorf("pareto: spec has no objectives")
+	}
+	r, err := spec.runner(spec.Seed, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -262,7 +209,6 @@ func RunPareto(ctx context.Context, spec ParetoSpec) (*ParetoRun, error) {
 	if err != nil {
 		return nil, err
 	}
-	last := r.Last()
 	run := &ParetoRun{
 		Workload:    spec.Workload,
 		Population:  spec.Population,
@@ -270,7 +216,7 @@ func RunPareto(ctx context.Context, spec ParetoSpec) (*ParetoRun, error) {
 		Seed:        spec.Seed,
 		Objectives:  append([]string(nil), spec.Objectives...),
 		Solved:      solved,
-		BestFitness: last.MaxFitness,
+		BestFitness: r.Last().MaxFitness,
 		History:     r.History,
 		Front:       r.Front(),
 	}

@@ -15,7 +15,7 @@ import (
 // objective values are pure functions of the deterministic evaluation
 // and the NSGA-II assignment is serial with a strict total order.
 func TestRunParetoDeterministicAcrossShapes(t *testing.T) {
-	base := ParetoSpec{
+	base := RunSpec{
 		Workload:    "cartpole",
 		Population:  32,
 		Generations: 5,
@@ -59,7 +59,7 @@ func TestRunParetoDeterministicAcrossShapes(t *testing.T) {
 }
 
 // runParetoShaped is RunPareto with the test-only Scalar knob exposed.
-func runParetoShaped(t *testing.T, spec ParetoSpec, scalar bool) (*ParetoRun, error) {
+func runParetoShaped(t *testing.T, spec RunSpec, scalar bool) (*ParetoRun, error) {
 	t.Helper()
 	if !scalar {
 		return RunPareto(context.Background(), spec)
@@ -68,7 +68,7 @@ func runParetoShaped(t *testing.T, spec ParetoSpec, scalar bool) (*ParetoRun, er
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}
-	r, err := newParetoRunner(spec)
+	r, err := spec.runner(spec.Seed, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -95,7 +95,7 @@ func runParetoShaped(t *testing.T, spec ParetoSpec, scalar bool) (*ParetoRun, er
 // every front genome from its decoded wire form and checks mutual
 // non-domination plus value consistency.
 func TestParetoFrontIsNonDominated(t *testing.T) {
-	run, err := RunPareto(context.Background(), ParetoSpec{
+	run, err := RunPareto(context.Background(), RunSpec{
 		Workload:    "mountaincar",
 		Population:  24,
 		Generations: 4,
@@ -144,7 +144,7 @@ func TestParetoFrontIsNonDominated(t *testing.T) {
 // run's record stream (history via Sink, then FrontRecords) is
 // byte-identical to ReplayParetoRecords over the stored run.
 func TestReplayParetoRecordsMatchesLive(t *testing.T) {
-	spec := ParetoSpec{
+	spec := RunSpec{
 		Workload:    "cartpole",
 		Population:  16,
 		Generations: 3,

@@ -3,8 +3,10 @@ package evolve
 import (
 	"context"
 	"errors"
+	"runtime"
 	"testing"
 
+	"repro/internal/gene"
 	"repro/internal/neat"
 )
 
@@ -77,5 +79,29 @@ func TestPhenoCacheHitsAcrossGenerations(t *testing.T) {
 	// cumulative history.
 	if n := r.PhenoCache().Len(); n > 2*len(r.Pop.Genomes) {
 		t.Fatalf("cache holds %d programs for a %d-genome population", n, len(r.Pop.Genomes))
+	}
+}
+
+// TestUnmutatedChildEvaluatesRaceFree evaluates generations of genomes
+// built the way crossover builds a child that no mutation then touches
+// — NewGenome plus directly appended genes — on the scalar path with
+// two workers, which evaluate one genome's episodes concurrently. Each
+// episode reads the genome's phenotype stamp through the compile cache;
+// under -race this fails if reading a stamp can write it.
+func TestUnmutatedChildEvaluatesRaceFree(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	r := poolRunner(t, 8)
+	r.Scalar, r.Parallelism = true, 2
+	parent := r.Pop.Genomes[0]
+	for round := 0; round < 8; round++ {
+		for i := 1; i < len(r.Pop.Genomes); i++ {
+			child := gene.NewGenome(int64(100 + round*len(r.Pop.Genomes) + i))
+			child.Nodes = append(child.Nodes, parent.Nodes...)
+			child.Conns = append(child.Conns, parent.Conns...)
+			r.Pop.Genomes[i] = child
+		}
+		if _, _, _, err := r.EvaluateGeneration(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

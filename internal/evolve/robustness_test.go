@@ -55,13 +55,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	}
 
 	// Fresh process: restore and finish the budget.
-	b2, err := NewRunner("mountaincar", smallConfig(), seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := b2.RestoreCheckpoint(ckpt); err != nil {
-		t.Fatal(err)
-	}
+	b2 := resumeFrom(t, "mountaincar", ckpt, seed)
 	if b2.Pop.Generation != cut {
 		t.Fatalf("restored at generation %d, want %d", b2.Pop.Generation, cut)
 	}
@@ -107,13 +101,25 @@ func TestRunCancelledSavesCheckpoint(t *testing.T) {
 	if _, err := os.Stat(ckpt); err != nil {
 		t.Fatalf("no checkpoint after cancellation: %v", err)
 	}
-	r2, err := NewRunner("cartpole", smallConfig(), 5)
+	if r2 := resumeFrom(t, "cartpole", ckpt, 5); r2.Pop.Generation != 0 {
+		t.Fatalf("cancellation checkpoint restored at generation %d, want 0", r2.Pop.Generation)
+	}
+}
+
+// resumeFrom builds a runner around the population checkpointed at
+// path, as a resuming study or job does.
+func resumeFrom(t *testing.T, workload, path string, seed uint64) *Runner {
+	t.Helper()
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r2.RestoreCheckpoint(ckpt); err != nil {
-		t.Fatalf("cancellation checkpoint not restorable: %v", err)
+	defer f.Close()
+	r, err := RunSpec{Workload: workload}.runner(seed, f)
+	if err != nil {
+		t.Fatalf("checkpoint %s not restorable: %v", path, err)
 	}
+	return r
 }
 
 // panicShaper blows up on the first observation, modelling a fitness

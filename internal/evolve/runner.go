@@ -122,10 +122,6 @@ type Runner struct {
 	// CheckpointEvery is the checkpoint interval in generations; 0
 	// disables periodic checkpoints.
 	CheckpointEvery int
-	// TrackChampion makes every Step clone the generation's best genome
-	// post-evaluation (before reproduction replaces the population), so
-	// island-model migration can export it after the fact; see Champion.
-	TrackChampion bool
 	// Phases, when set, receives per-phase wall-clock accounting from
 	// every Step: evaluate_ns / speciate_ns / reproduce_ns accumulated
 	// across generations, plus a generations count. Wall-clock is
@@ -134,18 +130,21 @@ type Runner struct {
 	// GenStats and the per-generation record stream, which are pinned
 	// byte-identical across hosts and replays.
 	Phases *hwsim.Counters
-	// Objectives, when non-empty, switches the runner into Pareto
-	// (multi-objective) mode: every Step ranks the evaluated population
-	// with the NSGA-II machinery over this objective vector and shapes
+
+	// trackChampion (island runners, see RunSpec.runner) makes every
+	// Step clone the generation's best genome post-evaluation (before
+	// reproduction replaces the population), so island-model migration
+	// can export it after the fact; see Champion.
+	trackChampion bool
+	champion      *gene.Genome
+	// objectives, when non-empty (Pareto runners), switches the runner
+	// into multi-objective mode: every Step ranks the evaluated
+	// population with the NSGA-II machinery over this vector and shapes
 	// selection from the resulting total order; the rank-0 front is
 	// captured per generation (see Front). Empty keeps the scalar path
 	// byte-identical — no moea code runs. See pareto.go.
-	Objectives []string
-
-	// champion is the latest tracked best genome (TrackChampion).
-	champion *gene.Genome
-	// front is the latest generation's Pareto front (Objectives mode).
-	front []ParetoPoint
+	objectives []string
+	front      []ParetoPoint
 
 	name     string
 	opCounts neat.OpCounts
@@ -217,9 +216,14 @@ func NewRunner(workloadName string, cfg neat.Config, seed uint64) (*Runner, erro
 	if err != nil {
 		return nil, err
 	}
-	r := &Runner{Workload: w, Pop: pop, name: workloadName, seed: seed}
+	return adopt(w, workloadName, pop, seed), nil
+}
+
+// adopt wraps pop in a runner for workload w.
+func adopt(w Workload, name string, pop *neat.Population, seed uint64) *Runner {
+	r := &Runner{Workload: w, Pop: pop, name: name, seed: seed}
 	pop.SetRecorder(&r.opCounts)
-	return r, nil
+	return r
 }
 
 // SetRecorder attaches an additional reproduction recorder (e.g. a
@@ -559,7 +563,7 @@ func (r *Runner) Step(ctx context.Context) (GenStats, error) {
 	evalDur := time.Since(evalStart)
 
 	best := r.Pop.Best()
-	if r.TrackChampion {
+	if r.trackChampion {
 		// Clone at the evaluation boundary: Epoch below may retire the
 		// genome, and the exported champion must be the scored individual,
 		// not a mutated descendant.
@@ -582,7 +586,7 @@ func (r *Runner) Step(ctx context.Context) (GenStats, error) {
 	st.NormMean = w.Normalize(st.MeanFitness)
 	st.Solved = st.MaxFitness >= w.Target
 
-	if len(r.Objectives) > 0 {
+	if len(r.objectives) > 0 {
 		// Pareto mode: rank the evaluated population and shape selection
 		// from the NSGA-II total order. Stats above were already taken
 		// from the task fitness, so records and Solved stay meaningful;
@@ -728,23 +732,13 @@ func (r *Runner) SaveCheckpoint(path string) error {
 	return os.Rename(tmp, path)
 }
 
-// RestoreCheckpoint replaces the runner's population with the state
-// saved at path and rewires the reproduction recorders. Because the
-// checkpoint carries the PRNG stream and evaluation seeds derive from
-// (runner seed, generation, genome, episode), the restored run
-// continues bit-identically to the uninterrupted one.
-func (r *Runner) RestoreCheckpoint(path string) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return r.RestoreFrom(f)
-}
-
-// RestoreFrom is RestoreCheckpoint over any reader — the seam the
-// persistent run store uses to rehydrate a committed run's population
-// without a checkpoint file on disk.
+// RestoreFrom replaces the runner's population with the checkpoint
+// state read from src and rewires the reproduction recorders. Because
+// the checkpoint carries the PRNG stream and evaluation seeds derive
+// from (runner seed, generation, genome, episode), the restored run
+// continues bit-identically to the uninterrupted one. Resuming runs
+// build their runner around the restored population instead
+// (RunSpec.NewRunner), which seeds no population to discard.
 func (r *Runner) RestoreFrom(src io.Reader) error {
 	pop, err := neat.Restore(src, r.seed)
 	if err != nil {
@@ -760,7 +754,7 @@ func (r *Runner) RestoreFrom(src io.Reader) error {
 }
 
 // Champion returns the clone of the best genome at the most recent
-// evaluated generation, or nil when TrackChampion is off or no
+// evaluated generation, or nil outside an island run or before any
 // generation has been evaluated. The returned genome is owned by the
 // caller — Step replaces the runner's copy rather than mutating it.
 func (r *Runner) Champion() *gene.Genome { return r.champion }

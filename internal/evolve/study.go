@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -115,7 +116,24 @@ func RunStudyContext(ctx context.Context, workload string, cfg neat.Config, runs
 				res.Err = err
 				return
 			}
-			r, err := NewRunner(workload, cfg, RunSeed(seed, run))
+			ckpt := ""
+			if opt.CheckpointDir != "" {
+				ckpt = filepath.Join(opt.CheckpointDir, fmt.Sprintf("%s-run%03d.ckpt", workload, run))
+			}
+			// A run with a checkpoint resumes around the restored
+			// population; otherwise it seeds a fresh one.
+			var r *Runner
+			f, err := os.Open(ckpt)
+			switch {
+			case err == nil:
+				r, err = RunSpec{Workload: workload}.runner(RunSeed(seed, run), f)
+				f.Close()
+				if err != nil {
+					err = fmt.Errorf("restore checkpoint: %w", err)
+				}
+			case errors.Is(err, fs.ErrNotExist):
+				r, err = NewRunner(workload, cfg, RunSeed(seed, run))
+			}
 			if err != nil {
 				res.Err = err
 				return
@@ -124,17 +142,7 @@ func RunStudyContext(ctx context.Context, workload string, cfg neat.Config, runs
 			if opt.Sink != nil {
 				r.Sink = hwsim.Tagged{Sink: opt.Sink, Workload: workload, Run: run}
 			}
-			if opt.CheckpointDir != "" {
-				r.CheckpointPath = filepath.Join(opt.CheckpointDir,
-					fmt.Sprintf("%s-run%03d.ckpt", workload, run))
-				r.CheckpointEvery = opt.CheckpointEvery
-				if _, serr := os.Stat(r.CheckpointPath); serr == nil {
-					if rerr := r.RestoreCheckpoint(r.CheckpointPath); rerr != nil {
-						res.Err = fmt.Errorf("restore checkpoint: %w", rerr)
-						return
-					}
-				}
-			}
+			r.CheckpointPath, r.CheckpointEvery = ckpt, opt.CheckpointEvery
 			res.Solved, res.Err = r.Run(ctx, maxGenerations)
 			res.History = r.History
 		}(run)

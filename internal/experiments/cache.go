@@ -142,16 +142,6 @@ type tier[V any] struct {
 	decode func(store.Key, *store.Artifact) (V, error)
 }
 
-// RunOutcome is the result of a shared island or Pareto request.
-type RunOutcome[R any] struct {
-	Run R
-	// Computed is true only for the request whose computation executed.
-	Computed bool
-	// Stored reports the cache miss was served from the persistent
-	// store (no computation ran).
-	Stored bool
-}
-
 // source says how a tier request was answered.
 type source int
 
@@ -221,16 +211,16 @@ func (t *tier[V]) resolve(k store.Key, compute func() (V, error)) (V, source, er
 // peek answers k from memory or the store without ever computing — the
 // coordinator's store-hit proxy seam. A store hit is memoized, so
 // repeated peeks of one key read disk once.
-func (t *tier[V]) peek(k store.Key) (run V, stored, ok bool) {
+func (t *tier[V]) peek(k store.Key) (V, source, bool) {
 	if v, ok := t.flightMap.peek(k); ok {
-		return v, false, true
+		return v, fromMemory, true
 	}
 	loaded, ok := t.load(k)
 	if !ok {
-		return loaded, false, false
+		return loaded, fromMemory, false
 	}
 	v, err := t.get(k, func() (V, error) { return loaded, nil })
-	return v, true, err == nil
+	return v, fromStore, err == nil
 }
 
 // runDoc is the schema-stamped single-file payload of an island

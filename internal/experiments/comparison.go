@@ -78,7 +78,7 @@ type comparison struct {
 // key is the run key of the underlying evolution (run 0), so the cache
 // is insensitive to option fields that do not change the run.
 func runComparison(wl string, opt Options) (*comparison, error) {
-	return priceCache.get(runRequest(wl, opt, 0).key(), func() (*comparison, error) {
+	return priceCache.get(RunKey(runRequest(wl, opt, 0).RunSpec), func() (*comparison, error) {
 		return runComparisonUncached(wl, opt)
 	})
 }

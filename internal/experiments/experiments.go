@@ -235,25 +235,26 @@ type evolved struct {
 // run) figure input. The run seed is the base seed plus the run offset,
 // so the key spaces of different base seeds or run indices never
 // collide.
-func runRequest(workload string, opt Options, run int) SharedRequest {
-	return SharedRequest{
+func runRequest(workload string, opt Options, run int) Request {
+	return Request{RunSpec: evolve.RunSpec{
 		Workload:    workload,
 		Population:  opt.popFor(workload),
 		Generations: opt.gensFor(workload),
 		Seed:        opt.Seed + uint64(run)*7919,
-		Ctx:         opt.Ctx,
 		BatchWidth:  opt.BatchWidth,
-	}
+	}, Ctx: opt.Ctx}
 }
 
-// runWorkload returns the workload's evolved run through the same run
-// cache and store RunShared uses, evolving it on the first request of
-// its key. The returned run is shared: callers read its history,
-// population, and trace but must not mutate them (re-scoring goes
-// through evolve.Runner.ScoreGenome).
+// runWorkload returns the workload's evolved run through Resolve,
+// evolving it on the first request of its key. The returned run is
+// shared: callers read its history, population, and trace but must not
+// mutate them (re-scoring goes through evolve.Runner.ScoreGenome).
 func runWorkload(workload string, opt Options, run int) (*evolved, error) {
-	_, e, err := resolveShared(runRequest(workload, opt, run))
-	return e, err
+	out, err := Resolve(runRequest(workload, opt, run))
+	if err != nil {
+		return nil, err
+	}
+	return out.scalar, nil
 }
 
 // genWorkload extracts the platform charge model's view of one

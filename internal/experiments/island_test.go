@@ -13,14 +13,24 @@ import (
 
 // islandReq is the tiny island run these tests resolve. The seed range
 // (888xxx) is private to this file.
-func islandReq(seed uint64) IslandRequest {
-	return IslandRequest{
+func islandReq(seed uint64) Request {
+	return Request{RunSpec: evolve.RunSpec{
 		Workload:       "cartpole",
 		Population:     16,
 		Generations:    4,
 		Islands:        2,
 		MigrationEvery: 2,
 		Seed:           seed,
+	}}
+}
+
+// TestRunSharedIslandValidates: Resolve refuses an invalid island spec
+// before any tier is touched.
+func TestRunSharedIslandValidates(t *testing.T) {
+	req := islandReq(888006)
+	req.Islands = 3 // population 16 not divisible
+	if _, err := Resolve(req); err == nil {
+		t.Fatal("invalid island spec accepted")
 	}
 }
 
@@ -29,14 +39,14 @@ func TestRunSharedIslandSingleflight(t *testing.T) {
 	t.Cleanup(ResetCaches)
 
 	const callers = 4
-	outs := make([]*IslandOutcome, callers)
+	outs := make([]*Resolved, callers)
 	errs := make([]error, callers)
 	var wg sync.WaitGroup
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			outs[i], errs[i] = RunSharedIsland(islandReq(888001))
+			outs[i], errs[i] = Resolve(islandReq(888001))
 		}(i)
 	}
 	wg.Wait()
@@ -48,7 +58,7 @@ func TestRunSharedIslandSingleflight(t *testing.T) {
 		if outs[i].Computed {
 			computed++
 		}
-		if outs[i].Run != outs[0].Run {
+		if outs[i].Island != outs[0].Island {
 			t.Fatal("concurrent callers got different run objects")
 		}
 	}
@@ -64,28 +74,28 @@ func TestIslandStoreRoundTrip(t *testing.T) {
 	withTestStore(t, store.Config{})
 	ResetCaches()
 
-	first, err := RunSharedIsland(islandReq(888002))
+	first, err := Resolve(islandReq(888002))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !first.Computed || first.Stored {
 		t.Fatalf("first run: Computed=%v Stored=%v", first.Computed, first.Stored)
 	}
-	want, err := json.Marshal(first.Run)
+	want, err := json.Marshal(first.Island)
 	if err != nil {
 		t.Fatal(err)
 	}
 	execs := EvolutionsExecuted()
 
 	ResetCaches() // drop memory, keep disk: simulated restart
-	second, err := RunSharedIsland(islandReq(888002))
+	second, err := Resolve(islandReq(888002))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if second.Computed || !second.Stored {
 		t.Fatalf("replay: Computed=%v Stored=%v", second.Computed, second.Stored)
 	}
-	got, err := json.Marshal(second.Run)
+	got, err := json.Marshal(second.Island)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,24 +114,24 @@ func TestPeekSharedIsland(t *testing.T) {
 	ResetCaches()
 
 	req := islandReq(888003)
-	if _, _, ok := PeekSharedIsland(req.Workload, req.Population, req.Generations, req.Islands, req.MigrationEvery, req.Seed); ok {
+	if _, ok := Peek(req.RunSpec); ok {
 		t.Fatal("peek hit before anything ran")
 	}
-	first, err := RunSharedIsland(req)
+	first, err := Resolve(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, stored, ok := PeekSharedIsland(req.Workload, req.Population, req.Generations, req.Islands, req.MigrationEvery, req.Seed)
-	if !ok || stored || run != first.Run {
-		t.Fatalf("memory peek: ok=%v stored=%v same=%v", ok, stored, run == first.Run)
+	out, ok := Peek(req.RunSpec)
+	if !ok || out.Stored || out.Island != first.Island {
+		t.Fatalf("memory peek: ok=%v out=%+v", ok, out)
 	}
 
 	ResetCaches()
-	run, stored, ok = PeekSharedIsland(req.Workload, req.Population, req.Generations, req.Islands, req.MigrationEvery, req.Seed)
-	if !ok || !stored {
-		t.Fatalf("disk peek: ok=%v stored=%v", ok, stored)
+	out, ok = Peek(req.RunSpec)
+	if !ok || !out.Stored {
+		t.Fatalf("disk peek: ok=%v out=%+v", ok, out)
 	}
-	if run.Seed != req.Seed || run.Islands != req.Islands {
+	if run := out.Island; run.Seed != req.Seed || run.Islands != req.Islands {
 		t.Fatalf("disk peek returned the wrong run: %+v", run)
 	}
 	if EvolutionsExecuted() != 0 {
@@ -140,16 +150,9 @@ func TestRunSharedIslandCustomRun(t *testing.T) {
 	calls := 0
 	req.Run = func(ctx context.Context) (*evolve.IslandRun, error) {
 		calls++
-		return evolve.RunIslands(ctx, evolve.IslandSpec{
-			Workload:       req.Workload,
-			Population:     req.Population,
-			Generations:    req.Generations,
-			Islands:        req.Islands,
-			MigrationEvery: req.MigrationEvery,
-			Seed:           req.Seed,
-		})
+		return evolve.RunIslands(ctx, req.RunSpec)
 	}
-	out, err := RunSharedIsland(req)
+	out, err := Resolve(req)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,11 +160,11 @@ func TestRunSharedIslandCustomRun(t *testing.T) {
 		t.Fatalf("custom Run called %d times, Computed=%v", calls, out.Computed)
 	}
 	// Second request: served from memory, closure untouched.
-	again, err := RunSharedIsland(req)
+	again, err := Resolve(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if calls != 1 || again.Computed || again.Run != out.Run {
+	if calls != 1 || again.Computed || again.Island != out.Island {
 		t.Fatalf("cache hit recomputed: calls=%d Computed=%v", calls, again.Computed)
 	}
 }
@@ -173,25 +176,17 @@ func TestRunSharedIslandErrorNotCached(t *testing.T) {
 	req := islandReq(888005)
 	boom := errors.New("worker died")
 	req.Run = func(ctx context.Context) (*evolve.IslandRun, error) { return nil, boom }
-	if _, err := RunSharedIsland(req); !errors.Is(err, boom) {
+	if _, err := Resolve(req); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want %v", err, boom)
 	}
 	// The failure must not poison the key: a retry without the failing
 	// closure computes locally and succeeds.
 	req.Run = nil
-	out, err := RunSharedIsland(req)
+	out, err := Resolve(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !out.Computed {
 		t.Fatal("retry after failure did not compute")
-	}
-}
-
-func TestRunSharedIslandValidates(t *testing.T) {
-	req := islandReq(888006)
-	req.Islands = 3 // population 16 not divisible
-	if _, err := RunSharedIsland(req); err == nil {
-		t.Fatal("invalid island spec accepted")
 	}
 }

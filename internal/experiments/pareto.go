@@ -1,52 +1,22 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"repro/internal/evolve"
-	"repro/internal/hw/hwsim"
 	"repro/internal/moea"
 	"repro/internal/store"
 )
 
-// This file is the Pareto (multi-objective) run kind — its request, its
-// store codec (one pareto.json artifact per key), and its entry points
-// over the shared run tier — plus the Pareto-front figure generator
+// This file is the Pareto (multi-objective) run kind's store codec (one
+// pareto.json artifact per key) plus the Pareto-front figure generator
 // over the existing workloads.
 
 // paretoSchema stamps pareto.json artifacts.
 const paretoSchema = "genesys-pareto/1"
 
 const paretoFile = "pareto.json"
-
-// ParetoRequest describes one Pareto-mode run to resolve through the
-// shared cache. The tuple (Workload, Population, Generations, Seed,
-// Objectives — order included) is the identity; the rest shapes
-// execution.
-type ParetoRequest struct {
-	Workload    string
-	Population  int
-	Generations int
-	Seed        uint64
-	Objectives  []string
-
-	// Ctx cancels a cache-miss computation; nil means Background.
-	Ctx context.Context
-	// Parallelism / BatchWidth shape the runner's evaluation.
-	Parallelism int
-	BatchWidth  int
-	// Phases, when set, receives the runner's live per-phase wall-clock
-	// counters on a cache-miss computation (metrics only, never stored).
-	Phases *hwsim.Counters
-	// Sink, when set, receives the live per-generation record stream of
-	// a cache-miss computation (replays come from the returned run).
-	Sink hwsim.Sink
-}
-
-// ParetoOutcome is the result of a shared Pareto request.
-type ParetoOutcome = RunOutcome[*evolve.ParetoRun]
 
 // JoinObjectives renders an objective vector in the canonical '+'
 // form used by store keys and the wire ("fitness+genes+energy").
@@ -58,44 +28,6 @@ func SplitObjectives(joined string) []string {
 		return nil
 	}
 	return strings.Split(joined, "+")
-}
-
-// key is the request's run identity.
-func (req ParetoRequest) key() store.Key {
-	return store.Key{
-		Workload:    req.Workload,
-		Population:  req.Population,
-		Generations: req.Generations,
-		Seed:        req.Seed,
-		Objectives:  JoinObjectives(req.Objectives),
-	}
-}
-
-// RunSharedPareto resolves one Pareto-mode run through the package's
-// singleflight cache and the persistent store, computing on a cold
-// miss via evolve.RunPareto.
-func RunSharedPareto(req ParetoRequest) (*ParetoOutcome, error) {
-	spec := evolve.ParetoSpec{
-		Workload:    req.Workload,
-		Population:  req.Population,
-		Generations: req.Generations,
-		Seed:        req.Seed,
-		Objectives:  req.Objectives,
-		Parallelism: req.Parallelism,
-		BatchWidth:  req.BatchWidth,
-		Phases:      req.Phases,
-		Sink:        req.Sink,
-	}
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
-	run, src, err := paretoCache.resolve(req.key(), func() (*evolve.ParetoRun, error) {
-		return evolve.RunPareto(orBackground(req.Ctx), spec)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &ParetoOutcome{Run: run, Computed: src == fromCompute, Stored: src == fromStore}, nil
 }
 
 // encodePareto renders a finished Pareto run as its artifact.
@@ -110,13 +42,6 @@ func decodePareto(k store.Key, art *store.Artifact) (*evolve.ParetoRun, error) {
 		return nil, fmt.Errorf("%s does not match its key", paretoFile)
 	}
 	return run, err
-}
-
-// PeekSharedPareto answers a Pareto request from memory or disk
-// without computing — the coordinator's store-hit proxy for pareto
-// jobs, mirroring PeekShared/PeekSharedIsland.
-func PeekSharedPareto(workload string, population, generations int, seed uint64, objectives []string) (*evolve.ParetoRun, bool, bool) {
-	return paretoCache.peek(store.Key{Workload: workload, Population: population, Generations: generations, Seed: seed, Objectives: JoinObjectives(objectives)})
 }
 
 // --- the Pareto-front figure ---
@@ -135,20 +60,19 @@ func ParetoFront(opt Options) (*Result, error) {
 	res := &Result{ID: "pareto", Title: "Pareto fronts: fitness vs genome size vs chip energy (NSGA-II)"}
 	objectives := evolve.DefaultParetoObjectives()
 	for _, wl := range evolve.ControlSuite() {
-		out, err := RunSharedPareto(ParetoRequest{
+		out, err := Resolve(Request{RunSpec: evolve.RunSpec{
 			Workload:    wl,
 			Population:  opt.popFor(wl),
 			Generations: opt.gensFor(wl),
 			Seed:        opt.Seed,
 			Objectives:  objectives,
-			Ctx:         opt.Ctx,
 			Parallelism: opt.Parallelism,
 			BatchWidth:  opt.BatchWidth,
-		})
+		}, Ctx: opt.Ctx})
 		if err != nil {
 			return nil, err
 		}
-		run := out.Run
+		run := out.Pareto
 		t := Table{
 			Title:  fmt.Sprintf("%s front (pop %d, %d generations, objectives %s)", wl, run.Population, len(run.History), JoinObjectives(run.Objectives)),
 			Header: []string{"genome", "fitness", "genes", "energy_pJ", "crowding"},

@@ -5,19 +5,20 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/evolve"
 	"repro/internal/store"
 )
 
 // paretoReq is the tiny Pareto run these tests resolve. The seed range
 // (889xxx) is private to this file.
-func paretoReq(seed uint64) ParetoRequest {
-	return ParetoRequest{
+func paretoReq(seed uint64) Request {
+	return Request{RunSpec: evolve.RunSpec{
 		Workload:    "cartpole",
 		Population:  16,
 		Generations: 4,
 		Seed:        seed,
 		Objectives:  []string{"fitness", "genes", "energy"},
-	}
+	}}
 }
 
 func TestJoinSplitObjectives(t *testing.T) {
@@ -35,19 +36,34 @@ func TestJoinSplitObjectives(t *testing.T) {
 	}
 }
 
+// TestRunSharedParetoValidates: Resolve refuses a single-objective
+// vector and an unknown workload on a Pareto request.
+func TestRunSharedParetoValidates(t *testing.T) {
+	req := paretoReq(889005)
+	req.Objectives = []string{"fitness"}
+	if _, err := Resolve(req); err == nil {
+		t.Fatal("single-objective pareto spec accepted")
+	}
+	req = paretoReq(889006)
+	req.Workload = "nope"
+	if _, err := Resolve(req); err == nil {
+		t.Fatal("unknown workload accepted")
+	}
+}
+
 func TestRunSharedParetoSingleflight(t *testing.T) {
 	ResetCaches()
 	t.Cleanup(ResetCaches)
 
 	const callers = 4
-	outs := make([]*ParetoOutcome, callers)
+	outs := make([]*Resolved, callers)
 	errs := make([]error, callers)
 	var wg sync.WaitGroup
 	for i := 0; i < callers; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			outs[i], errs[i] = RunSharedPareto(paretoReq(889001))
+			outs[i], errs[i] = Resolve(paretoReq(889001))
 		}(i)
 	}
 	wg.Wait()
@@ -59,14 +75,14 @@ func TestRunSharedParetoSingleflight(t *testing.T) {
 		if outs[i].Computed {
 			computed++
 		}
-		if outs[i].Run != outs[0].Run {
+		if outs[i].Pareto != outs[0].Pareto {
 			t.Fatal("concurrent callers got different run objects")
 		}
 	}
 	if computed != 1 {
 		t.Fatalf("%d computations for one key, want exactly 1", computed)
 	}
-	if len(outs[0].Run.Front) == 0 {
+	if len(outs[0].Pareto.Front) == 0 {
 		t.Fatal("empty front")
 	}
 }
@@ -78,27 +94,27 @@ func TestParetoStoreRoundTrip(t *testing.T) {
 	withTestStore(t, store.Config{})
 	ResetCaches()
 
-	first, err := RunSharedPareto(paretoReq(889002))
+	first, err := Resolve(paretoReq(889002))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !first.Computed || first.Stored {
 		t.Fatalf("first run: Computed=%v Stored=%v", first.Computed, first.Stored)
 	}
-	want, err := json.Marshal(first.Run)
+	want, err := json.Marshal(first.Pareto)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	ResetCaches() // drop memory, keep disk: simulated restart
-	second, err := RunSharedPareto(paretoReq(889002))
+	second, err := Resolve(paretoReq(889002))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if second.Computed || !second.Stored {
 		t.Fatalf("replay: Computed=%v Stored=%v", second.Computed, second.Stored)
 	}
-	got, err := json.Marshal(second.Run)
+	got, err := json.Marshal(second.Pareto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,24 +131,24 @@ func TestPeekSharedPareto(t *testing.T) {
 	ResetCaches()
 
 	req := paretoReq(889003)
-	if _, _, ok := PeekSharedPareto(req.Workload, req.Population, req.Generations, req.Seed, req.Objectives); ok {
+	if _, ok := Peek(req.RunSpec); ok {
 		t.Fatal("peek hit before anything ran")
 	}
-	first, err := RunSharedPareto(req)
+	first, err := Resolve(req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	run, stored, ok := PeekSharedPareto(req.Workload, req.Population, req.Generations, req.Seed, req.Objectives)
-	if !ok || stored || run != first.Run {
-		t.Fatalf("memory peek: ok=%v stored=%v same=%v", ok, stored, run == first.Run)
+	out, ok := Peek(req.RunSpec)
+	if !ok || out.Stored || out.Pareto != first.Pareto {
+		t.Fatalf("memory peek: ok=%v out=%+v", ok, out)
 	}
 
 	ResetCaches()
-	run, stored, ok = PeekSharedPareto(req.Workload, req.Population, req.Generations, req.Seed, req.Objectives)
-	if !ok || !stored {
-		t.Fatalf("disk peek: ok=%v stored=%v", ok, stored)
+	out, ok = Peek(req.RunSpec)
+	if !ok || !out.Stored {
+		t.Fatalf("disk peek: ok=%v out=%+v", ok, out)
 	}
-	if run.Seed != req.Seed || JoinObjectives(run.Objectives) != JoinObjectives(req.Objectives) {
+	if run := out.Pareto; run.Seed != req.Seed || JoinObjectives(run.Objectives) != JoinObjectives(req.Objectives) {
 		t.Fatalf("disk peek returned the wrong run: %+v", run)
 	}
 	if EvolutionsExecuted() != 0 {
@@ -148,34 +164,21 @@ func TestParetoObjectiveOrderIsIdentity(t *testing.T) {
 	ResetCaches()
 	t.Cleanup(ResetCaches)
 
-	a, err := RunSharedPareto(paretoReq(889004))
+	a, err := Resolve(paretoReq(889004))
 	if err != nil {
 		t.Fatal(err)
 	}
 	req := paretoReq(889004)
 	req.Objectives = []string{"energy", "genes", "fitness"}
-	b, err := RunSharedPareto(req)
+	b, err := Resolve(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !a.Computed || !b.Computed {
 		t.Fatalf("reordered vector shared a computation: a=%v b=%v", a.Computed, b.Computed)
 	}
-	if a.Run == b.Run {
+	if a.Pareto == b.Pareto {
 		t.Fatal("reordered vector returned the same run object")
-	}
-}
-
-func TestRunSharedParetoValidates(t *testing.T) {
-	req := paretoReq(889005)
-	req.Objectives = []string{"fitness"}
-	if _, err := RunSharedPareto(req); err == nil {
-		t.Fatal("single-objective pareto spec accepted")
-	}
-	req = paretoReq(889006)
-	req.Workload = "nope"
-	if _, err := RunSharedPareto(req); err == nil {
-		t.Fatal("unknown workload accepted")
 	}
 }
 
@@ -189,22 +192,22 @@ func TestParetoQuarantineOnBadSchema(t *testing.T) {
 		file string
 		run  func() (computed, stored bool, err error)
 	}{
-		{"pareto", paretoReq(889007).key(), paretoFile, func() (bool, bool, error) {
-			out, err := RunSharedPareto(paretoReq(889007))
+		{"pareto", RunKey(paretoReq(889007).RunSpec), paretoFile, func() (bool, bool, error) {
+			out, err := Resolve(paretoReq(889007))
 			if err != nil {
 				return false, false, err
 			}
 			return out.Computed, out.Stored, nil
 		}},
-		{"island", islandReq(888007).key(), islandsFile, func() (bool, bool, error) {
-			out, err := RunSharedIsland(islandReq(888007))
+		{"island", RunKey(islandReq(888007).RunSpec), islandsFile, func() (bool, bool, error) {
+			out, err := Resolve(islandReq(888007))
 			if err != nil {
 				return false, false, err
 			}
 			return out.Computed, out.Stored, nil
 		}},
-		{"scalar", persistReq(777007).key(), historyFile, func() (bool, bool, error) {
-			out, err := RunShared(persistReq(777007))
+		{"scalar", RunKey(persistReq(777007).RunSpec), historyFile, func() (bool, bool, error) {
+			out, err := Resolve(persistReq(777007))
 			if err != nil {
 				return false, false, err
 			}

@@ -7,7 +7,6 @@ import (
 	"fmt"
 
 	"repro/internal/evolve"
-	"repro/internal/neat"
 	"repro/internal/store"
 	"repro/internal/trace"
 )
@@ -74,9 +73,9 @@ func encodeRun(k store.Key, e *evolved) (store.Meta, map[string][]byte, error) {
 }
 
 // decodeRun rebuilds the immutable run entry from committed payloads:
-// the history replays verbatim, the population restores through the
-// checkpoint decoder (with full genome validation), and the trace
-// re-parses.
+// the history replays verbatim, the runner is built around the
+// population restored through the checkpoint decoder (with full genome
+// validation), and the trace re-parses.
 func decodeRun(k store.Key, art *store.Artifact) (*evolved, error) {
 	var doc historyDoc
 	if err := json.Unmarshal(art.Files[historyFile], &doc); err != nil {
@@ -88,15 +87,9 @@ func decodeRun(k store.Key, art *store.Artifact) (*evolved, error) {
 	if doc.Seed != k.Seed {
 		return nil, fmt.Errorf("%s: seed %d, want %d", historyFile, doc.Seed, k.Seed)
 	}
-	cfg := neat.DefaultConfig(1, 1)
-	cfg.PopulationSize = k.Population
-	r, err := evolve.NewRunner(k.Workload, cfg, k.Seed)
+	spec := evolve.RunSpec{Workload: k.Workload, Population: k.Population, Generations: k.Generations, Seed: k.Seed}
+	r, err := spec.NewRunner(bytes.NewReader(art.Files[populationFile]))
 	if err != nil {
-		return nil, err
-	}
-	tr := &trace.Trace{}
-	r.SetRecorder(tr)
-	if err := r.RestoreFrom(bytes.NewReader(art.Files[populationFile])); err != nil {
 		return nil, fmt.Errorf("%s: %w", populationFile, err)
 	}
 	parsed, err := trace.Parse(bytes.NewReader(art.Files[traceFile]))

@@ -6,14 +6,15 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/evolve"
 	"repro/internal/store"
 )
 
 // persistReq is the tiny run the persistence tests evolve. The seed
 // range (777xxx) is private to this file so no other test's cache
 // entries alias these keys.
-func persistReq(seed uint64) SharedRequest {
-	return SharedRequest{Workload: "cartpole", Population: 16, Generations: 2, Seed: seed}
+func persistReq(seed uint64) Request {
+	return Request{RunSpec: evolve.RunSpec{Workload: "cartpole", Population: 16, Generations: 2, Seed: seed}}
 }
 
 func withTestStore(t *testing.T, cfg store.Config) *store.Store {
@@ -33,7 +34,7 @@ func withTestStore(t *testing.T, cfg store.Config) *store.Store {
 	return s
 }
 
-func traceBytes(t *testing.T, run *SharedRun) string {
+func traceBytes(t *testing.T, run *Resolved) string {
 	t.Helper()
 	var buf bytes.Buffer
 	if _, err := run.Trace.WriteTo(&buf); err != nil {
@@ -50,7 +51,7 @@ func TestStoreRoundTripReplaysIdentically(t *testing.T) {
 	withTestStore(t, store.Config{})
 	ResetCaches()
 
-	first, err := RunShared(persistReq(777001))
+	first, err := Resolve(persistReq(777001))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func TestStoreRoundTripReplaysIdentically(t *testing.T) {
 
 	ResetCaches() // the restart: memory gone, disk remains
 
-	second, err := RunShared(persistReq(777001))
+	second, err := Resolve(persistReq(777001))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,14 +98,14 @@ func TestStoreCorruptionRecomputes(t *testing.T) {
 	s := withTestStore(t, store.Config{})
 	ResetCaches()
 
-	if _, err := RunShared(persistReq(777002)); err != nil {
+	if _, err := Resolve(persistReq(777002)); err != nil {
 		t.Fatal(err)
 	}
 	key := store.Key{Workload: "cartpole", Population: 16, Generations: 2, Seed: 777002}
 	s.QuarantineKey(key, "test poison")
 	ResetCaches()
 
-	got, err := RunShared(persistReq(777002))
+	got, err := Resolve(persistReq(777002))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +130,7 @@ func TestStoreSkipsResumedRuns(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "cartpole-p16-g2-s777003.ckpt")
 	g1 := persistReq(777003)
 	g1.Generations = 1
-	r, err := RunShared(g1)
+	r, err := Resolve(g1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestStoreSkipsResumedRuns(t *testing.T) {
 	full := persistReq(777003)
 	full.CheckpointPath = ckpt
 	full.CheckpointEvery = 1
-	res, err := RunShared(full)
+	res, err := Resolve(full)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,11 +2,12 @@ package experiments
 
 import (
 	"context"
+	"errors"
+	"io"
+	"io/fs"
 	"os"
 
 	"repro/internal/evolve"
-	"repro/internal/hw/hwsim"
-	"repro/internal/neat"
 	"repro/internal/store"
 	"repro/internal/trace"
 )
@@ -15,46 +16,35 @@ import (
 // (internal/serve) submits evolution jobs through the exact same
 // singleflight store the figure generators use, so a daemon job, a
 // figure regeneration, and a duplicate client submission of the same
-// (workload, population, generations, seed) all resolve to one
-// executed evolution per process. Cached entries are uniform — every
-// compute attaches a trace recorder — so an entry evolved for a
-// daemon job can later feed a hardware-replay figure and vice versa.
+// run all resolve to one executed evolution per process. Cached scalar
+// entries are uniform — every compute attaches a trace recorder — so an
+// entry evolved for a daemon job can later feed a hardware-replay
+// figure and vice versa.
 
-// SharedRequest describes one evolution to run (or fetch) through the
-// shared run cache. The tuple (Workload, Population, Generations,
-// Seed) is the cache key; everything else shapes how a cache miss
-// executes and does not affect identity.
-type SharedRequest struct {
-	Workload    string
-	Population  int
-	Generations int
-	Seed        uint64
+// Request describes one run to resolve through the shared run tier.
+// The embedded RunSpec's identity fields are the cache and store key
+// (see RunKey); its execution-shape fields and everything else here
+// shape how a cache miss executes and do not affect identity.
+type Request struct {
+	evolve.RunSpec
 
-	// Ctx cancels a cache-miss evolution; nil means Background. A
+	// Ctx cancels a cache-miss computation; nil means Background. A
 	// cancelled compute is evicted from the cache (concurrent waiters
 	// share the cancellation error; a later identical request
-	// recomputes — and resumes from CheckpointPath if one was written).
+	// recomputes — and a scalar run resumes from CheckpointPath if one
+	// was written). Only the computing request's Sink streams; a request
+	// answered from memory or the store (Computed=false) replays the
+	// returned run instead.
 	Ctx context.Context
-	// Sink, when set, receives this run's per-generation records live
-	// while it evolves. Only the computing request streams; a request
-	// served from cache (Computed=false) gets no live records and
-	// should replay SharedRun.Runner.History instead.
-	Sink hwsim.Sink
-	// Parallelism caps the runner's evaluation worker pool (0 =
-	// GOMAXPROCS); a scheduler running many jobs passes 1 so its own
-	// worker slots are the only parallelism.
-	Parallelism int
-	// BatchWidth caps the batch evaluation engine's lane count (0 =
-	// engine default). Like Parallelism it shapes execution without
-	// affecting identity — batch results are byte-identical to the
-	// scalar reference at every width — so it is not in the cache key.
-	BatchWidth int
-	// CheckpointPath + CheckpointEvery enable the PR 2 checkpoint
-	// machinery on a cache miss: the run persists at generation
-	// boundaries, resumes from an existing file at that path, and the
-	// file is removed after an uninterrupted completion (a stale
-	// checkpoint never shadows a fresh run of a different key because
-	// the path should encode the key).
+
+	// The remaining fields apply to scalar runs only; island and Pareto
+	// runs are deterministic end to end, so an interruption recomputes.
+	//
+	// CheckpointPath + CheckpointEvery make a cache miss persist its
+	// population at generation boundaries and resume from an existing
+	// file at that path; the file is removed after an uninterrupted
+	// completion (the path should encode the key, so a stale checkpoint
+	// never shadows a run of a different key).
 	CheckpointPath  string
 	CheckpointEvery int
 	// ResumeFromPath, when set, is the checkpoint file the run restores
@@ -70,79 +60,126 @@ type SharedRequest struct {
 	// by the computing goroutine; callers must only use the
 	// goroutine-safe Runner surface.
 	OnRunner func(*evolve.Runner)
-	// Phases, when set, receives the runner's per-phase wall-clock
-	// counters (evaluate/speciate/reproduce) on a cache miss — a live
-	// accounting node, not part of the cache key or the memoized run.
-	// Cache hits and store replays execute no phases and charge nothing.
-	Phases *hwsim.Counters
+
+	// Run, when set, executes an island run's cache-miss computation —
+	// the coordinator passes the distributed fleet executor here. Nil
+	// runs the single-process reference (evolve.RunIslands). Either way
+	// the result must be the deterministic IslandRun of the spec.
+	Run func(ctx context.Context) (*evolve.IslandRun, error)
 }
 
-// SharedRun is the outcome of a shared-cache request.
-type SharedRun struct {
-	// Runner holds the finished run: History, Pop, workload. Shared
-	// and immutable by contract — re-scoring goes through the
-	// non-mutating Runner.ScoreGenome.
+// Resolved is the answer to a run request. Exactly one kind of run is set: Runner
+// and Trace for a scalar run, Island for an island run, Pareto for a
+// Pareto run. Runs are shared and immutable by contract — re-scoring a
+// scalar run goes through the non-mutating Runner.ScoreGenome.
+type Resolved struct {
+	// Runner holds a finished scalar run (History, Pop, workload) and
+	// Trace its reproduction trace.
 	Runner *evolve.Runner
-	// Trace is the reproduction trace recorded during the run.
-	Trace *trace.Trace
+	Trace  *trace.Trace
+	Island *evolve.IslandRun
+	Pareto *evolve.ParetoRun
 	// Solved reports whether the run reached the workload target.
 	Solved bool
-	// Resumed reports whether the compute restored a checkpoint (its
-	// History then covers only the post-restore generations).
-	Resumed bool
-	// Computed is true only for the request whose compute executed the
-	// evolution; concurrent and later requests of the same key see
-	// false and share the first request's artifacts.
+	// Computed is true only for the request whose computation executed
+	// the run; concurrent and later requests of the same key see false
+	// and share the first request's run.
 	Computed bool
 	// Stored reports that this request's cache miss was served from the
-	// persistent store: a full history replay with no evolution
-	// executed. Like a memory hit it leaves Computed false, so callers
-	// replay Runner.History.
+	// persistent store: no evolution executed.
 	Stored bool
+	// Resumed reports that a scalar compute restored a checkpoint (its
+	// History then covers only the post-restore generations).
+	Resumed bool
+
+	// scalar is a scalar run's shared cache entry, which the figure
+	// generators read directly (runWorkload).
+	scalar *evolved
 }
 
-// key is the request's run identity: the literal tuple.
-func (req SharedRequest) key() store.Key {
-	return store.Key{Workload: req.Workload, Population: req.Population, Generations: req.Generations, Seed: req.Seed}
-}
-
-// RunShared resolves one evolution through the package's singleflight
-// run cache: the first request of a key executes it (honoring Sink,
-// checkpointing, and cancellation), concurrent requests block on that
-// execution, later requests return the memoized run immediately.
-func RunShared(req SharedRequest) (*SharedRun, error) {
-	out, _, err := resolveShared(req)
-	return out, err
-}
-
-// resolveShared is RunShared returning the cache entry too — the one
-// scalar path, shared with the figure generators' runWorkload.
-func resolveShared(req SharedRequest) (*SharedRun, *evolved, error) {
-	e, src, err := runCache.resolve(req.key(), func() (*evolved, error) { return evolveShared(req) })
-	if err != nil {
-		return nil, nil, err
+// RunKey is a run's identity: the store.Key the run tiers, the
+// persistent store and the serving layer address it by. It is the one
+// mapping from a spec to a key.
+func RunKey(s evolve.RunSpec) store.Key {
+	return store.Key{
+		Workload:       s.Workload,
+		Population:     s.Population,
+		Generations:    s.Generations,
+		Seed:           s.Seed,
+		Islands:        s.Islands,
+		MigrationEvery: s.MigrationEvery,
+		Objectives:     JoinObjectives(s.Objectives),
 	}
-	return &SharedRun{
-		Runner:   e.runner,
-		Trace:    e.trace,
-		Solved:   e.solved,
-		Resumed:  src == fromCompute && e.resumed,
-		Computed: src == fromCompute,
-		Stored:   src == fromStore,
-	}, e, nil
 }
 
-// PeekShared answers a run request from what this process already has
-// — the memory cache, then the persistent store — without ever
-// computing. It is the coordinator's store-hit proxy seam: before
-// dispatching a job to the fleet, the coordinator checks whether it
-// can replay the run locally.
-func PeekShared(workload string, population, generations int, seed uint64) (*SharedRun, bool) {
-	e, stored, ok := runCache.peek(store.Key{Workload: workload, Population: population, Generations: generations, Seed: seed})
+// Resolve answers one run request through the tier of its kind: the
+// first request of a key executes it (honoring Sink, checkpointing and
+// cancellation) unless the persistent store holds it, concurrent
+// requests block on that execution, later requests return the memoized
+// run immediately.
+func Resolve(req Request) (*Resolved, error) {
+	if err := req.Validate(); err != nil {
+		return nil, err
+	}
+	k, ctx := RunKey(req.RunSpec), orBackground(req.Ctx)
+	out := &Resolved{}
+	var src source
+	var err error
+	switch {
+	case req.Islands > 0:
+		run := req.Run
+		if run == nil {
+			run = func(ctx context.Context) (*evolve.IslandRun, error) { return evolve.RunIslands(ctx, req.RunSpec) }
+		}
+		out.Island, src, err = islandCache.resolve(k, func() (*evolve.IslandRun, error) { return run(ctx) })
+	case len(req.Objectives) > 0:
+		out.Pareto, src, err = paretoCache.resolve(k, func() (*evolve.ParetoRun, error) { return evolve.RunPareto(ctx, req.RunSpec) })
+	default:
+		out.scalar, src, err = runCache.resolve(k, func() (*evolved, error) { return evolveShared(req) })
+	}
+	if err != nil {
+		return nil, err
+	}
+	return out.from(src), nil
+}
+
+// Peek answers a run from what this process already has — the memory
+// cache, then the persistent store — without ever computing. It is the
+// coordinator's store-hit proxy seam: before dispatching a job to the
+// fleet, the coordinator checks whether it can replay the run locally.
+func Peek(spec evolve.RunSpec) (*Resolved, bool) {
+	k := RunKey(spec)
+	out := &Resolved{}
+	var src source
+	var ok bool
+	switch {
+	case spec.Islands > 0:
+		out.Island, src, ok = islandCache.peek(k)
+	case len(spec.Objectives) > 0:
+		out.Pareto, src, ok = paretoCache.peek(k)
+	default:
+		out.scalar, src, ok = runCache.peek(k)
+	}
 	if !ok {
 		return nil, false
 	}
-	return &SharedRun{Runner: e.runner, Trace: e.trace, Solved: e.solved, Stored: stored}, true
+	return out.from(src), true
+}
+
+// from fills the exported view of the run of o's kind and stamps how
+// it was answered.
+func (o *Resolved) from(src source) *Resolved {
+	o.Computed, o.Stored = src == fromCompute, src == fromStore
+	switch {
+	case o.Island != nil:
+		o.Solved = o.Island.Solved
+	case o.Pareto != nil:
+		o.Solved = o.Pareto.Solved
+	default:
+		o.Runner, o.Trace, o.Solved = o.scalar.runner, o.scalar.trace, o.scalar.solved
+		o.Resumed = o.Computed && o.scalar.resumed
+	}
+	return o
 }
 
 // EvolutionsExecuted reports how many evolution computations (single
@@ -151,38 +188,31 @@ func PeekShared(workload string, population, generations int, seed uint64) (*Sha
 // prove deduplication.
 func EvolutionsExecuted() int64 { return evolutionsExecuted() }
 
-// evolveShared is the cache-miss body of RunShared. It runs on the
-// requesting goroutine under the key's singleflight slot.
-func evolveShared(req SharedRequest) (*evolved, error) {
-	cfg := neat.DefaultConfig(1, 1)
-	cfg.PopulationSize = req.Population
-	r, err := evolve.NewRunner(req.Workload, cfg, req.Seed)
-	if err != nil {
-		return nil, err
-	}
-	r.Parallelism = req.Parallelism
-	r.BatchWidth = req.BatchWidth
-	r.Sink = req.Sink
-	r.Phases = req.Phases
-	tr := &trace.Trace{}
-	r.SetRecorder(tr)
-	if req.CheckpointPath != "" {
-		r.CheckpointPath = req.CheckpointPath
-		r.CheckpointEvery = req.CheckpointEvery
-	}
-	resumed := false
+// evolveShared is the cache-miss body of a scalar Resolve. It runs on
+// the requesting goroutine under the key's singleflight slot.
+func evolveShared(req Request) (*evolved, error) {
 	resume := req.ResumeFromPath
 	if resume == "" {
 		resume = req.CheckpointPath
 	}
+	var pop io.Reader
 	if resume != "" {
-		if _, serr := os.Stat(resume); serr == nil {
-			if rerr := r.RestoreCheckpoint(resume); rerr != nil {
-				return nil, rerr
-			}
-			resumed = true
+		f, err := os.Open(resume)
+		switch {
+		case err == nil:
+			defer f.Close()
+			pop = f
+		case !errors.Is(err, fs.ErrNotExist):
+			return nil, err
 		}
 	}
+	r, err := req.NewRunner(pop)
+	if err != nil {
+		return nil, err
+	}
+	tr := &trace.Trace{}
+	r.SetRecorder(tr)
+	r.CheckpointPath, r.CheckpointEvery = req.CheckpointPath, req.CheckpointEvery
 	if req.OnRunner != nil {
 		req.OnRunner(r)
 	}
@@ -206,5 +236,5 @@ func evolveShared(req SharedRequest) (*evolved, error) {
 	// otherwise every finished daemon job keeps its batch planes and
 	// environment pool live and GC scan time grows with jobs completed.
 	r.ReleaseEvalState()
-	return &evolved{runner: r, trace: tr, solved: solved, resumed: resumed}, nil
+	return &evolved{runner: r, trace: tr, solved: solved, resumed: pop != nil}, nil
 }

@@ -32,22 +32,20 @@ type Genome struct {
 	// Conns holds the connection genes sorted by (Src, Dst).
 	Conns []Gene
 
-	// version is the phenotype version stamp: assigned lazily, copied
-	// by Clone, and replaced whenever a gene changes. It is deliberately
-	// unexported (and absent from checkpoints — restored genomes get a
-	// fresh stamp, landing in an empty cache anyway).
+	// version is the phenotype version stamp: assigned at construction
+	// (NewGenome, Clone, the JSON decoders), copied by Clone, and
+	// replaced whenever a gene changes. It is deliberately unexported
+	// (and absent from checkpoints — restored genomes get a fresh stamp,
+	// landing in an empty cache anyway).
 	version int64
 }
 
-// Version returns the genome's phenotype version stamp, assigning one on
-// first use. Two genomes share a stamp only when one is an unmodified
-// clone of the other, so the stamp is a sound compile-cache key.
-func (g *Genome) Version() int64 {
-	if g.version == 0 {
-		g.version = versionCounter.Add(1)
-	}
-	return g.version
-}
+// Version returns the genome's phenotype version stamp. Two genomes
+// share a stamp only when one is an unmodified clone of the other, so
+// the stamp is a sound compile-cache key. Reading it never writes, so
+// concurrent evaluation workers may share a genome; a genome built as a
+// struct literal has no stamp until BumpVersion.
+func (g *Genome) Version() int64 { return g.version }
 
 // BumpVersion invalidates the genome's phenotype stamp. Every mutation
 // path that edits genes in place (rather than through PutNode/PutConn/
@@ -55,9 +53,11 @@ func (g *Genome) Version() int64 {
 // compile cache could serve a stale phenotype.
 func (g *Genome) BumpVersion() { g.version = versionCounter.Add(1) }
 
-// NewGenome returns an empty genome with the given id.
+// NewGenome returns an empty genome with the given id and a fresh
+// phenotype stamp. Genes appended to it directly (crossover, seeding)
+// need no further bump: nothing read the stamp of the empty genome.
 func NewGenome(id int64) *Genome {
-	return &Genome{ID: id}
+	return &Genome{ID: id, version: versionCounter.Add(1)}
 }
 
 // Clone deep-copies the genome (fitness and phenotype version stamp

@@ -116,9 +116,6 @@ func (p *Population) seedGenome() *gene.Genome {
 			}
 		}
 	}
-	// Stamp now: Version's lazy first stamp is not safe once evaluation
-	// workers share the genome.
-	g.BumpVersion()
 	return g
 }
 

@@ -367,9 +367,8 @@ func (sp *speciator) speciate(genomes []*gene.Genome, prev []*Species, cfg *Conf
 	}
 
 	// Distance rows vs the surviving representatives: memo hits fill
-	// directly, misses are computed in parallel. Version stamps are
-	// assigned (lazily) here, on this goroutine, so the workers only
-	// ever read the genomes.
+	// directly, misses are computed in parallel; the workers only ever
+	// read the genomes.
 	s0 := len(species)
 	rows := sp.rows[:0]
 	if cap(rows) < len(genomes)*s0 {

@@ -242,10 +242,7 @@ func TestClusterIslandDifferential(t *testing.T) {
 		Workload: "cartpole", Population: 32, Generations: 8,
 		Seed: seedCluster + 2, Islands: 2, MigrationEvery: 3,
 	}
-	ref, err := evolve.RunIslands(context.Background(), evolve.IslandSpec{
-		Workload: spec.Workload, Population: spec.Population, Generations: spec.Generations,
-		Islands: spec.Islands, MigrationEvery: spec.MigrationEvery, Seed: spec.Seed,
-	})
+	ref, err := evolve.RunIslands(context.Background(), spec.run())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,12 +264,12 @@ func TestClusterIslandDifferential(t *testing.T) {
 		t.Fatalf("island_distributed = %d, want 1 (the fleet executed it)", got)
 	}
 
-	run, _, ok := experiments.PeekSharedIsland(spec.Workload, spec.Population, spec.Generations, spec.Islands, spec.MigrationEvery, spec.Seed)
+	out, ok := experiments.Peek(spec.run())
 	if !ok {
 		t.Fatal("island run not in the coordinator's cache")
 	}
 	jref, _ := json.Marshal(ref)
-	jgot, _ := json.Marshal(run)
+	jgot, _ := json.Marshal(out.Island)
 	if string(jref) != string(jgot) {
 		t.Fatal("fleet island run is not byte-identical to the single-process reference")
 	}

@@ -357,7 +357,7 @@ func (d *Dispatcher) runOn(ctx context.Context, owner cluster.Member, j *Job, si
 // deterministic, so the fleet shape never changes the result). With
 // no live workers the coordinator falls back to the local reference.
 func (d *Dispatcher) runIslandsOnFleet(ctx context.Context, j *Job) (*evolve.IslandRun, error) {
-	spec := j.Spec.islandSpec()
+	spec := j.Spec.run()
 	// The local fallback computes in-process; account its phase
 	// wall-clock like any other local run. (Distributed shards account
 	// on their own workers.)

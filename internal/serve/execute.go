@@ -37,85 +37,35 @@ func (e *localExecutor) Execute(ctx context.Context, j *Job, sink hwsim.Sink) (O
 	return e.resolve(ctx, j, sink, nil)
 }
 
-// resolve runs a job through the shared run tier of its kind — the one
-// switch on run kind in the executor path — and finishes its record
-// stream. With fleet nil every cache miss computes in this process.
-// On a coordinator, fleet places the misses: island runs shard across
-// the live workers, scalar and Pareto runs go to the key's ring owner,
-// except that a Pareto run with an empty fleet computes here (scalar
-// jobs then fail with "no live workers"). Front records continue the
-// history's generation numbers, so the coordinator's dedup proxy
-// forwards a worker's Pareto stream unchanged.
+// resolve runs a job through the shared run tier and finishes its
+// record stream. With fleet nil every cache miss computes in this
+// process. On a coordinator the only switch is placement: island runs
+// shard across the live workers, scalar and Pareto runs go to the
+// key's ring owner, except that a Pareto run with an empty fleet
+// computes here (scalar jobs then fail with "no live workers"). Front
+// records continue the history's generation numbers, so the
+// coordinator's dedup proxy forwards a worker's Pareto stream
+// unchanged.
 //
 // Island and Pareto runs have no checkpoint machinery: each is
 // deterministic end to end, so interruption means recomputation, and
 // the store tier still dedupes across restarts.
 func (e *localExecutor) resolve(ctx context.Context, j *Job, sink hwsim.Sink, fleet *Dispatcher) (Outcome, error) {
 	sp := j.Spec
-	switch {
-	case sp.IsIsland():
-		req := experiments.IslandRequest{
-			Workload:       sp.Workload,
-			Population:     sp.Population,
-			Generations:    sp.Generations,
-			Islands:        sp.Islands,
-			MigrationEvery: sp.MigrationEvery,
-			Seed:           sp.Seed,
-			Ctx:            ctx,
-			Parallelism:    e.cfg.RunnerParallelism,
-			BatchWidth:     e.cfg.RunnerBatchWidth,
-			Phases:         e.phases,
+	if fleet != nil && !sp.IsIsland() {
+		if !sp.IsPareto() || len(fleet.Members.Live()) > 0 {
+			return fleet.dispatch(ctx, j, sink)
 		}
-		if fleet != nil {
-			req.Run = func(ctx context.Context) (*evolve.IslandRun, error) { return fleet.runIslandsOnFleet(ctx, j) }
-		}
-		out, err := experiments.RunSharedIsland(req)
-		if err != nil {
-			return Outcome{}, err
-		}
-		return islandResult(out.Run).outcome(sink, out.Computed, out.Stored, false), nil
-	case sp.IsPareto():
-		if fleet != nil {
-			if len(fleet.Members.Live()) > 0 {
-				return fleet.dispatch(ctx, j, sink)
-			}
-			// No fleet: the coordinator is the only compute. The run is
-			// deterministic, so the result is identical to a worker's.
-			fleet.ctr.AddInt("pareto_local", 1)
-		}
-		out, err := experiments.RunSharedPareto(experiments.ParetoRequest{
-			Workload:    sp.Workload,
-			Population:  sp.Population,
-			Generations: sp.Generations,
-			Seed:        sp.Seed,
-			Objectives:  experiments.SplitObjectives(sp.Objectives),
-			Ctx:         ctx,
-			Parallelism: e.cfg.RunnerParallelism,
-			BatchWidth:  e.cfg.RunnerBatchWidth,
-			Phases:      e.phases,
-			Sink:        sink,
-		})
-		if err != nil {
-			return Outcome{}, err
-		}
-		return paretoResult(out.Run).outcome(sink, out.Computed, out.Stored, false), nil
+		// No fleet: the coordinator is the only compute. The run is
+		// deterministic, so the result is identical to a worker's.
+		fleet.ctr.AddInt("pareto_local", 1)
 	}
-	if fleet != nil {
-		return fleet.dispatch(ctx, j, sink)
+	req := experiments.Request{RunSpec: sp.run(), Ctx: ctx, OnRunner: j.PublishRunner}
+	req.Parallelism, req.BatchWidth, req.Phases, req.Sink = e.cfg.RunnerParallelism, e.cfg.RunnerBatchWidth, e.phases, sink
+	if fleet != nil && sp.IsIsland() {
+		req.Run = func(ctx context.Context) (*evolve.IslandRun, error) { return fleet.runIslandsOnFleet(ctx, j) }
 	}
-	req := experiments.SharedRequest{
-		Workload:    sp.Workload,
-		Population:  sp.Population,
-		Generations: sp.Generations,
-		Seed:        sp.Seed,
-		Ctx:         ctx,
-		Sink:        sink,
-		Parallelism: e.cfg.RunnerParallelism,
-		BatchWidth:  e.cfg.RunnerBatchWidth,
-		OnRunner:    j.PublishRunner,
-		Phases:      e.phases,
-	}
-	if e.cfg.CheckpointDir != "" {
+	if e.cfg.CheckpointDir != "" && !sp.IsIsland() && !sp.IsPareto() {
 		key := sp.key()
 		req.CheckpointPath = checkpointFile(e.cfg.CheckpointDir, key, e.cfg.WorkerID)
 		req.CheckpointEvery = e.cfg.CheckpointEvery
@@ -126,91 +76,56 @@ func (e *localExecutor) resolve(ctx context.Context, j *Job, sink hwsim.Sink, fl
 			req.ResumeFromPath = resume
 		}
 	}
-	res, err := experiments.RunShared(req)
+	out, err := experiments.Resolve(req)
 	if err != nil {
 		return Outcome{}, err
 	}
-	return scalarResult(sp.Workload, res).outcome(sink, res.Computed, res.Stored, res.Resumed), nil
+	return finish(sp.Workload, out, sink), nil
 }
 
 // peek answers a job spec from this process's run cache or store
 // without computing — the coordinator's store-hit proxy — replaying
 // the memoized record stream through sink.
 func peek(sp Spec, sink hwsim.Sink) (Outcome, bool) {
-	switch {
-	case sp.IsIsland():
-		run, stored, ok := experiments.PeekSharedIsland(sp.Workload, sp.Population, sp.Generations, sp.Islands, sp.MigrationEvery, sp.Seed)
-		if !ok {
-			return Outcome{}, false
-		}
-		return islandResult(run).outcome(sink, false, stored, false), true
-	case sp.IsPareto():
-		run, stored, ok := experiments.PeekSharedPareto(sp.Workload, sp.Population, sp.Generations, sp.Seed, experiments.SplitObjectives(sp.Objectives))
-		if !ok {
-			return Outcome{}, false
-		}
-		return paretoResult(run).outcome(sink, false, stored, false), true
-	}
-	run, ok := experiments.PeekShared(sp.Workload, sp.Population, sp.Generations, sp.Seed)
+	out, ok := experiments.Peek(sp.run())
 	if !ok {
 		return Outcome{}, false
 	}
-	return scalarResult(sp.Workload, run).outcome(sink, false, run.Stored, false), true
+	return finish(sp.Workload, out, sink), true
 }
 
-// result is a resolved run of any kind as its job reports and streams
-// it. The record stream is live followed by rest (either may be nil):
-// a computing scalar or Pareto run emits its history live while it
-// evolves; an island run's per-island runners never stream, so all of
-// its stream is rest.
-type result struct {
-	solved     bool
-	best       float64
-	gens       int
-	live, rest func(hwsim.Sink)
-}
-
-func scalarResult(workload string, run *experiments.SharedRun) result {
-	h := run.Runner.History
-	var best float64
-	for i, st := range h {
-		if i == 0 || st.MaxFitness > best {
-			best = st.MaxFitness
+// finish completes a resolved run's record stream and folds the run
+// into the job's Outcome. A computing scalar or Pareto run already
+// streamed its history live, so only a request that did not compute
+// replays it; a Pareto front and an island run's whole stream (island
+// runners never stream) always follow. Every path emits the same
+// records, so subscribers cannot tell a hit from a miss.
+func finish(workload string, out *experiments.Resolved, sink hwsim.Sink) Outcome {
+	o := Outcome{Solved: out.Solved, Shared: !out.Computed, Resumed: out.Resumed, Stored: out.Stored}
+	switch {
+	case out.Island != nil:
+		o.Best, o.Gens = out.Island.BestFitness, out.Island.Evolved()
+		evolve.ReplayIslandRecords(out.Island, sink)
+	case out.Pareto != nil:
+		run := out.Pareto
+		o.Best, o.Gens = run.BestFitness, len(run.History)
+		if !out.Computed {
+			evolve.ReplayHistory(run.Workload, run.History, sink)
+		}
+		evolve.FrontRecords(run, sink)
+	default:
+		h := out.Runner.History
+		for i, st := range h {
+			if i == 0 || st.MaxFitness > o.Best {
+				o.Best = st.MaxFitness
+			}
+		}
+		o.Gens = len(h)
+		if !out.Computed {
+			evolve.ReplayHistory(workload, h, sink)
 		}
 	}
-	return result{
-		solved: run.Solved, best: best, gens: len(h),
-		live: func(sink hwsim.Sink) { evolve.ReplayHistory(workload, h, sink) },
-	}
-}
-
-func paretoResult(run *evolve.ParetoRun) result {
-	return result{
-		solved: run.Solved, best: run.BestFitness, gens: len(run.History),
-		live: func(sink hwsim.Sink) { evolve.ReplayHistory(run.Workload, run.History, sink) },
-		rest: func(sink hwsim.Sink) { evolve.FrontRecords(run, sink) },
-	}
-}
-
-func islandResult(run *evolve.IslandRun) result {
-	return result{
-		solved: run.Solved, best: run.BestFitness, gens: run.Evolved(),
-		rest: func(sink hwsim.Sink) { evolve.ReplayIslandRecords(run, sink) },
-	}
-}
-
-// outcome finishes the job's record stream — replaying the live part
-// too unless this request computed the run and already streamed it —
-// and folds the run into the job's Outcome. Every path emits the same
-// records, so subscribers cannot tell a hit from a miss.
-func (r result) outcome(sink hwsim.Sink, computed, stored, resumed bool) Outcome {
-	if r.live != nil && !computed {
-		r.live(sink)
-	}
-	if r.rest != nil {
-		r.rest(sink)
-	}
-	return Outcome{Solved: r.solved, Shared: !computed, Resumed: resumed, Stored: stored, Best: r.best, Gens: r.gens}
+	return o
 }
 
 // checkpointFile names the checkpoint a job writes: the cache key,

@@ -10,7 +10,7 @@ import (
 )
 
 // FuzzSpec hardens the POST /jobs decoder: any body goes through
-// decodeBody, withDefaults and validate without panicking, and every
+// decodeBody, withDefaults and RunSpec.Validate without panicking, and every
 // spec the daemon admits names its run by a key string that parses
 // back to the same store key — the round trip Scheduler.Recover relies
 // on to re-admit an interrupted job from its checkpoint file name.
@@ -38,7 +38,7 @@ func FuzzSpec(f *testing.F) {
 			return
 		}
 		sp := spec.withDefaults()
-		if sp.validate() != nil {
+		if sp.run().Validate() != nil {
 			return
 		}
 		key := sp.key()

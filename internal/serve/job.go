@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,75 +86,23 @@ func (sp Spec) IsIsland() bool { return sp.Islands > 0 }
 // IsPareto reports whether the spec requests a Pareto-mode run.
 func (sp Spec) IsPareto() bool { return sp.Objectives != "" }
 
-// paretoSpec maps the job spec onto the evolve-layer Pareto tuple.
-func (sp Spec) paretoSpec() evolve.ParetoSpec {
-	return evolve.ParetoSpec{
-		Workload:    sp.Workload,
-		Population:  sp.Population,
-		Generations: sp.Generations,
-		Seed:        sp.Seed,
-		Objectives:  experiments.SplitObjectives(sp.Objectives),
-	}
-}
-
-// islandSpec maps the job spec onto the evolve-layer island tuple.
-func (sp Spec) islandSpec() evolve.IslandSpec {
-	return evolve.IslandSpec{
+// run maps the job spec onto the run it names. Admission validates it
+// (Scheduler.Submit); the executor resolves it.
+func (sp Spec) run() evolve.RunSpec {
+	return evolve.RunSpec{
 		Workload:       sp.Workload,
 		Population:     sp.Population,
 		Generations:    sp.Generations,
 		Islands:        sp.Islands,
 		MigrationEvery: sp.MigrationEvery,
 		Seed:           sp.Seed,
+		Objectives:     experiments.SplitObjectives(sp.Objectives),
 	}
-}
-
-// validate rejects specs the scheduler would choke on.
-func (sp Spec) validate() error {
-	if _, err := evolve.WorkloadByName(sp.Workload); err != nil {
-		return err
-	}
-	if sp.Population < 2 {
-		return fmt.Errorf("population %d: need at least 2", sp.Population)
-	}
-	if sp.Generations < 1 {
-		return fmt.Errorf("generations %d: need at least 1", sp.Generations)
-	}
-	// The key string names island fields only for island runs, so a
-	// stray or negative island field would make a run whose key does
-	// not parse back to it (and whose checkpoint recovery re-admits a
-	// different run).
-	if sp.Islands < 0 {
-		return fmt.Errorf("islands %d: must not be negative", sp.Islands)
-	}
-	if !sp.IsIsland() && sp.MigrationEvery != 0 {
-		return fmt.Errorf("migration_every %d: needs islands", sp.MigrationEvery)
-	}
-	if sp.IsIsland() && sp.IsPareto() {
-		return fmt.Errorf("islands and objectives are mutually exclusive")
-	}
-	if sp.IsIsland() {
-		return sp.islandSpec().Validate()
-	}
-	if sp.IsPareto() {
-		return sp.paretoSpec().Validate()
-	}
-	return nil
 }
 
 // storeKey is the spec's run identity — the store.Key the shared run
 // tier and the persistent store address the run by.
-func (sp Spec) storeKey() store.Key {
-	return store.Key{
-		Workload:       sp.Workload,
-		Population:     sp.Population,
-		Generations:    sp.Generations,
-		Seed:           sp.Seed,
-		Islands:        sp.Islands,
-		MigrationEvery: sp.MigrationEvery,
-		Objectives:     sp.Objectives,
-	}
-}
+func (sp Spec) storeKey() store.Key { return experiments.RunKey(sp.run()) }
 
 // specOf is storeKey's inverse: the spec that resolves to run k.
 func specOf(k store.Key) Spec {

@@ -114,14 +114,15 @@ func TestParetoJobStreamAndReplay(t *testing.T) {
 	}
 }
 
-// TestParetoSpecValidation: the HTTP surface rejects contradictory or
-// unresolvable Pareto specs at submit time.
+// TestParetoSpecValidation: admission refuses a Pareto spec that also
+// asks for islands, names an unknown objective, or has one objective.
 func TestParetoSpecValidation(t *testing.T) {
 	_, c, _ := startDaemon(t, Config{MaxRunning: 1})
 	ctx := context.Background()
 
 	bad := paretoSpec(seedPareto + 10)
 	bad.Islands = 2
+	bad.MigrationEvery = 5
 	if _, err := c.Submit(ctx, bad); err == nil {
 		t.Fatal("islands+objectives spec accepted")
 	}

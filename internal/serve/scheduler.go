@@ -251,7 +251,7 @@ func (s *Scheduler) retryAfterLocked() int {
 // capacity), anything else (invalid spec).
 func (s *Scheduler) Submit(spec Spec) (*Job, error) {
 	spec = spec.withDefaults()
-	if err := spec.validate(); err != nil {
+	if err := spec.run().Validate(); err != nil {
 		return nil, err
 	}
 	client := spec.Client

@@ -175,6 +175,31 @@ func TestSubmitOversizedBody(t *testing.T) {
 	}
 }
 
+// TestSubmitOverBoundSpec: a spec over the run-size bounds is refused
+// with 400 at admission — before any population is built, so the
+// values are never run.
+func TestSubmitOverBoundSpec(t *testing.T) {
+	sched, c, _ := startDaemon(t, Config{MaxRunning: 1, MaxQueue: 4})
+	for _, body := range []string{
+		`{"workload":"alien-ram","population":4097}`,
+		`{"workload":"alien-ram","population":1099511627776}`,
+		`{"workload":"cartpole","generations":10001}`,
+		`{"workload":"cartpole","population":514,"islands":257,"migration_every":1}`,
+	} {
+		resp, err := http.Post(c.Base+"/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", body, resp.StatusCode)
+		}
+	}
+	if n := len(sched.Jobs()); n != 0 {
+		t.Fatalf("over-bound submits admitted %d jobs", n)
+	}
+}
+
 // TestDedupSharedEvolution: identical (workload, pop, gens, seed)
 // submissions execute one evolution — the second job is served from
 // the run cache, streams the same records, and the execution counter

@@ -20,7 +20,7 @@
 # fails here, not in scripts/bench.sh), and a short fuzz smoke over the
 # untrusted-input decoders (trace parser, NEAT checkpoint and genome
 # codec, each differential against its retained reflective reference,
-# the POST /jobs spec decoder, store manifest).
+# the POST /jobs spec decoder, the worker island RPC, store manifest).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -245,7 +245,7 @@ go test -run=NONE -bench='BenchmarkClusterThroughput' \
 go test -run=NONE -bench='BenchmarkNonDominatedSort' \
     -benchtime=1x ./internal/moea/
 
-echo "== fuzz smoke (trace, neat checkpoint, genome codec, job spec, store manifest)"
+echo "== fuzz smoke (trace, neat checkpoint, genome codec, job spec, island RPC, store manifest)"
 # -fuzzminimizetime is bounded in execs: the default 60s-per-input
 # minimization budget would eat the whole smoke window on the ~5 KB
 # checkpoint corpus entries.
@@ -253,6 +253,7 @@ go test -run=NONE -fuzz=FuzzParse -fuzztime=5s -fuzzminimizetime=50x ./internal/
 go test -run=NONE -fuzz=FuzzRestore -fuzztime=5s -fuzzminimizetime=50x ./internal/neat/
 go test -run=NONE -fuzz=FuzzGenomeCodec -fuzztime=5s -fuzzminimizetime=50x ./internal/gene/
 go test -run=NONE -fuzz=FuzzSpec -fuzztime=5s -fuzzminimizetime=50x ./internal/serve/
+go test -run=NONE -fuzz=FuzzIslandStep -fuzztime=5s -fuzzminimizetime=50x ./internal/cluster/
 go test -run=NONE -fuzz=FuzzManifest -fuzztime=5s -fuzzminimizetime=50x ./internal/store/
 
 echo "ok"
